@@ -14,7 +14,8 @@ import math
 from . import osbb
 from .orders import cmp_hall_words, cmp_shat, sort_by
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, block,
-                    brk, canon_key, graft, ograft, osbb_word, symgraft, triple)
+                    brk, canon_key, graft, multilinear, ograft, osbb_word,
+                    subterms, symgraft, triple)
 from .tensor import (symmetrize, tree_brk, triple_bracket, word_act_trees,
                      word_lincomb)
 
@@ -39,11 +40,8 @@ def to_shat_term(t):
     elif t.kind == GRAFT:
         word = word_lincomb([to_shat_term(b) for b in t.branches])
         dec = osbb.decompose(word, cmp_shat)
-        root = to_shat_term(t.root)
-        out = LinComb()
-        for w, cw in dec.items():
-            for r, cr in root.items():
-                out.add_in(LinComb.of(ograft(w, r)), cw * cr)
+        out = multilinear(lambda w, r: LinComb.of(ograft(w, r)),
+                          dec, to_shat_term(t.root))
     else:
         raise BasisError("to_shat expects a tree-basis term, got %r" % t)
     _TO_SHAT[t] = out
@@ -69,12 +67,11 @@ def from_shat_term(s):
         out = tree_brk(from_shat_term(s.x), from_shat_term(s.y))
     elif s.kind == OGRAFT:
         root = from_shat_term(s.root)
-        out = LinComb()
-        for w, cw in osbb.expand(s.word).items():
-            branch_words = word_lincomb([from_shat_term(l) for l in w])
-            for bw, cb in branch_words.items():
-                for r, cr in root.items():
-                    out.add_in(LinComb.of(graft(bw, r)), cw * cb * cr)
+        words = osbb.expand(s.word)
+        branches = {w: word_lincomb([from_shat_term(l) for l in w]) for w in words}
+        out = multilinear(
+            lambda w, r: LinComb({graft(bw, r): c for bw, c in branches[w].items()}),
+            words, root)
     else:
         raise BasisError("from_shat expects a block-basis term, got %r" % s)
     _FROM_SHAT[s] = out
@@ -150,12 +147,6 @@ def phi_inv_lin(x):
     return x.map_terms(lambda t: LinComb.of(phi_inv(t)))
 
 
-def phi_on_A(x):
-    """The automorphism applied to a tree-basis combination, in triple-basis
-    coordinates of the image."""
-    return phi_lin(to_shat(x))
-
-
 # -- orders on the triple basis ------------------------------------------------
 
 _CMP_T = {}
@@ -216,16 +207,11 @@ def t_value(t):
         v = LinComb.of(t)
     elif t.kind == BRK:
         v = tree_brk(t_value(t.x), t_value(t.y))
-    elif t.kind == SYMGRAFT:
-        w = symmetrize(word_lincomb([t_value(b) for b in t.sym]))
-        v = word_act_trees(w, t_value(t.root))
-    elif t.kind == TRIPLE:
-        tb = triple_bracket(t_value(t.y), t_value(t.z), t_value(t.w))
+    elif t.kind in (SYMGRAFT, TRIPLE):
+        v = (t_value(t.root) if t.kind == SYMGRAFT
+             else triple_bracket(t_value(t.y), t_value(t.z), t_value(t.w)))
         if t.sym:
-            w = symmetrize(word_lincomb([t_value(b) for b in t.sym]))
-            v = word_act_trees(w, tb)
-        else:
-            v = tb
+            v = word_act_trees(symmetrize(word_lincomb([t_value(b) for b in t.sym])), v)
     else:
         raise BasisError("t_value expects a triple-basis term, got %r" % t)
     _T_VALUE[t] = v
@@ -260,51 +246,22 @@ def shat_to_t(x):
     return x.map_terms(shat_elem_to_t)
 
 
-def t_to_shat(x):
-    return to_shat(t_value_lin(x))
+_FAMILY = {GRAFT: "bhat", OGRAFT: "shat", SYMGRAFT: "t", TRIPLE: "t"}
+_BASIS = {}
 
 
 def term_basis(t):
     """Which basis family a term belongs to, by its node kinds."""
-    kinds = set()
-
-    def walk(u):
-        kinds.add(u.kind)
-        if u.kind == BRK:
-            walk(u.x)
-            walk(u.y)
-        elif u.kind == GRAFT:
-            for b in u.branches:
-                walk(b)
-            walk(u.root)
-        elif u.kind == OGRAFT:
-            for l in u.word.letters():
-                walk(l)
-            walk(u.root)
-        elif u.kind == SYMGRAFT:
-            for b in u.sym:
-                walk(b)
-            walk(u.root)
-        elif u.kind == TRIPLE:
-            for b in u.sym:
-                walk(b)
-            walk(u.y)
-            walk(u.z)
-            walk(u.w)
-
-    walk(t)
-    has = {GRAFT: GRAFT in kinds, OGRAFT: OGRAFT in kinds,
-           TRIPLE: (SYMGRAFT in kinds or TRIPLE in kinds)}
-    n = sum(has.values())
-    if n > 1:
-        raise BasisError("term mixes basis families: %r" % t)
-    if has[GRAFT]:
-        return "bhat"
-    if has[OGRAFT]:
-        return "shat"
-    if has[TRIPLE]:
-        return "t"
-    return "plain"
+    b = _BASIS.get(t)
+    if b is None:
+        families = {_FAMILY.get(t.kind, "plain")}
+        families.update(term_basis(c) for _, c in subterms(t))
+        families.discard("plain")
+        if len(families) > 1:
+            raise BasisError("term mixes basis families: %r" % t)
+        b = families.pop() if families else "plain"
+        _BASIS[t] = b
+    return b
 
 
 def any_to_t(x):

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage/parse/elaboration error, 2 rewriting fuel
-exhausted, 3 a check suite failed.
+exhausted, 3 a check suite failed, 4 the rewriting rules met a term they
+cannot order or rewrite (a known defect of the engine, not of the input).
 """
 from __future__ import annotations
 
@@ -10,16 +11,17 @@ import hashlib
 import json
 import sys
 
-from .bases import (cmp_t, enumerate_S, enumerate_Shat, enumerate_T,
-                    phi_inv_lin, phi_lin, shat_to_t, to_shat)
+from .bases import (cmp_t, enumerate_Bhat, enumerate_S, enumerate_Shat,
+                    enumerate_T, phi_inv_lin, phi_lin, shat_to_t, to_shat)
 from .exprs import (ElabError, ParseError, lincomb_json, parse_algebra,
                     parse_tensor, render_lincomb, render_term)
-from .normal import (DEFAULT_FUEL, FuelExhausted, enumerate_B,
-                     enumerate_B_lat, normalize)
+from .normal import (DEFAULT_FUEL, FuelExhausted, InternalRewriteError,
+                     OrderConflictError, enumerate_B, enumerate_B_lat, normalize)
 from .orders import cmp_shat
 from .osbb import decompose
 from .suites import SUITES
-from .terms import Alphabet, LinComb
+from .tensor import word_lincomb
+from .terms import Alphabet, word_key
 from .yamaguti import ly_triple
 
 
@@ -96,7 +98,6 @@ def _enumerate(basis, n, alphabet):
     if basis == "S":
         return enumerate_S(n, alphabet)
     if basis == "Bhat":
-        from .bases import enumerate_Bhat
         return enumerate_Bhat(n, alphabet)
     if basis == "Shat":
         return enumerate_Shat(n, alphabet)
@@ -168,13 +169,7 @@ def run(argv):
 
     if args.cmd == "normalize":
         alphabet = _alphabet(args.gens) or _infer_alphabet([args.expr])
-        x = parse_algebra(args.expr, alphabet)
-        try:
-            nf, trace = normalize(x, fuel=args.fuel)
-        except FuelExhausted as e:
-            print("fuel exhausted after %d steps" % len(e.trace.steps),
-                  file=sys.stderr)
-            return 2
+        nf, trace = normalize(parse_algebra(args.expr, alphabet), fuel=args.fuel)
         if args.trace:
             _write_trace(args.trace, trace)
         _emit_lincomb(nf, args.json, order=cmp_t)
@@ -203,17 +198,13 @@ def run(argv):
     if args.cmd == "osbb":
         alphabet = _alphabet(args.gens) or _infer_alphabet([args.expr])
         d = parse_tensor(args.expr, alphabet)
-        shat_words = LinComb()
-        for w, c in d.items():
-            from .tensor import word_lincomb
-            shat_words.add_in(word_lincomb([to_shat(l) for l in w]), c)
+        shat_words = d.map_terms(lambda w: word_lincomb([to_shat(l) for l in w]))
         dec = decompose(shat_words, cmp_shat)
+        items = sorted(dec.items(), key=lambda tc: word_key(tc[0]))
         if args.json:
-            items = sorted(dec.items(), key=lambda tc: canon_key_word(tc[0]))
             print(json.dumps({"terms": [{"coeff": str(c), "expr": _render_word(w)}
                                         for w, c in items]}, sort_keys=True))
         else:
-            items = sorted(dec.items(), key=lambda tc: canon_key_word(tc[0]))
             if not items:
                 print("0")
             else:
@@ -239,13 +230,7 @@ def run(argv):
         vx = parse_algebra(args.x, alphabet)
         vy = parse_algebra(args.y, alphabet)
         vz = parse_algebra(args.z, alphabet)
-        try:
-            out = ly_triple(vx, vy, vz, fuel=args.fuel)
-        except FuelExhausted as e:
-            print("fuel exhausted after %d steps" % len(e.trace.steps),
-                  file=sys.stderr)
-            return 2
-        _emit_lincomb(out, args.json, order=cmp_t)
+        _emit_lincomb(ly_triple(vx, vy, vz, fuel=args.fuel), args.json, order=cmp_t)
         return 0
 
     if args.cmd == "check":
@@ -264,13 +249,7 @@ def run(argv):
     raise UsageError("unknown command")
 
 
-def canon_key_word(w):
-    from .terms import word_key
-    return word_key(w)
-
-
 def _render_word(w):
-    from .exprs import render_term
     items = []
     for b in w.blocks:
         if b.sym:
@@ -293,6 +272,12 @@ def main(argv=None):
     except (ParseError, ElabError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except FuelExhausted as e:
+        print("fuel exhausted after %d steps" % len(e.trace.steps), file=sys.stderr)
+        return 2
+    except (OrderConflictError, InternalRewriteError) as e:
+        print("rewrite error: %s" % e, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

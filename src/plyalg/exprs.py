@@ -17,10 +17,10 @@ elements (combinations over words of tree-basis terms).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb,
-                    canon_key, graft)
+                    canon_key, graft, multilinear)
 from .tensor import (graft_product, letters_to_words, lie_word, symmetrize,
                      tensor_mul, tree_brk, triangle, triple_bracket, unit,
                      word_act_trees, words_to_letters)
@@ -161,7 +161,12 @@ class Parser:
 
 
 def parse(text):
-    return Parser(text).parse()
+    p = Parser(text)
+    try:
+        return p.parse()
+    except RecursionError:
+        t = p.peek()
+        raise ParseError("expression nested too deeply", t[2], t[3]) from None
 
 
 # -- elaboration ------------------------------------------------------------------
@@ -236,48 +241,29 @@ def elaborate(ast, alphabet):
                 raise ElabError("%s expects %d arguments, got %d (line %d, column %d)"
                                 % (fn, n, len(vals), line, col))
 
+    def concat():
+        return reduce(tensor_mul, [_as_d(*v) for v in vals], unit())
+
     if fn == "bk":
         need(2)
         return "A", tree_brk(_as_a(*vals[0]), _as_a(*vals[1]))
     if fn == "tb":
         need(3)
         return "A", triple_bracket(_as_a(*vals[0]), _as_a(*vals[1]), _as_a(*vals[2]))
-    if fn == "gr":
+    if fn in ("gr", "sg"):
         need(None, with_root=True)
-        root = _root_check(_as_a(*rvals[0], what="gr root"), "gr", line, col)
-        word = unit()
-        for v in vals:
-            word = tensor_mul(word, _as_d(*v))
-        out = LinComb()
-        for w, cw in word.items():
-            if not w:
-                raise ElabError("gr needs at least one branch (line %d, column %d)"
-                                % (line, col))
-            for r, cr in root.items():
-                out.add_in(LinComb.of(graft(w, r)), cw * cr)
-        return "A", out
-    if fn == "sg":
-        need(None, with_root=True)
-        root = _root_check(_as_a(*rvals[0], what="sg root"), "sg", line, col)
-        word = unit()
-        for v in vals:
-            word = tensor_mul(word, _as_d(*v))
+        root = _root_check(_as_a(*rvals[0], what=fn + " root"), fn, line, col)
+        word = concat()
         if () in word.terms:
-            raise ElabError("sg needs at least one branch (line %d, column %d)"
-                            % (line, col))
+            raise ElabError("%s needs at least one branch (line %d, column %d)"
+                            % (fn, line, col))
+        if fn == "gr":
+            return "A", multilinear(lambda w, r: LinComb.of(graft(w, r)), word, root)
         return "A", word_act_trees(symmetrize(word), root)
-    if fn == "s":
+    if fn in ("s", "w"):
         need(None)
-        word = unit()
-        for v in vals:
-            word = tensor_mul(word, _as_d(*v))
-        return "D", symmetrize(word)
-    if fn == "w":
-        need(None)
-        word = unit()
-        for v in vals:
-            word = tensor_mul(word, _as_d(*v))
-        return "D", word
+        word = concat()
+        return "D", symmetrize(word) if fn == "s" else word
     if fn == "tri":
         need(2)
         return "D", triangle(_as_d(*vals[0]), _as_d(*vals[1]),
@@ -288,16 +274,23 @@ def elaborate(ast, alphabet):
     raise ElabError("unknown function %r (line %d, column %d)" % (fn, line, col))
 
 
+def _evaluate(text, alphabet):
+    ast = parse(text)
+    try:
+        return elaborate(ast, alphabet)
+    except RecursionError:
+        raise ElabError("expression nested too deeply to elaborate") from None
+
+
 def parse_algebra(text, alphabet):
     """Parse and elaborate to an algebra element (tree-basis combination)."""
-    k, v = elaborate(parse(text), alphabet)
+    k, v = _evaluate(text, alphabet)
     return _as_a(k, v, what="input")
 
 
 def parse_tensor(text, alphabet):
     """Parse and elaborate to a tensor element (word combination)."""
-    k, v = elaborate(parse(text), alphabet)
-    return _as_d(k, v)
+    return _as_d(*_evaluate(text, alphabet))
 
 
 # -- printing ---------------------------------------------------------------------

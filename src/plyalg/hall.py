@@ -165,13 +165,12 @@ def _subst3(t, path, repl):
     if not path:
         return repl
     slot, rest = path[0], path[1:]
-    out = LinComb()
-    sub = _subst3(getattr(t, slot), rest, repl)
-    for u, c in sub.items():
+
+    def put(u):
         parts = {"x": t.x, "y": t.y, "z": t.z}
         parts[slot] = u
-        out.add_in(LinComb.of(node3(parts["x"], parts["y"], parts["z"])), c)
-    return out
+        return LinComb.of(node3(parts["x"], parts["y"], parts["z"]))
+    return _subst3(getattr(t, slot), rest, repl).map_terms(put)
 
 
 def _step(t, cmpl):

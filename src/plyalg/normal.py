@@ -25,16 +25,18 @@ from dataclasses import dataclass
 from . import hall
 from .bases import (any_to_t, cmp_hall_t, cmp_t, enumerate_T, shat_to_t,
                     t_value_lin, to_shat)
-from .tensor import tree_mul, word_lincomb, word_act_trees
+from .tensor import tree_brk, tree_mul, word_lincomb, word_act_trees
 from .terms import (BRK, GEN, SYMGRAFT, TRIPLE, LinComb, brk, canon_key,
-                    has_bracket, symgraft, triple)
+                    has_bracket, multilinear, subterms, symgraft, triple)
 
 DEFAULT_FUEL = 10 ** 6
 
 
 class OrderConflictError(Exception):
-    """The Hall order and the basis order disagree on a stored triple; only
-    possible far beyond desk scale (>= 8 total vertices in one triple)."""
+    """The Hall order and the basis order disagree on the first two slots of
+    a triple: ``triple_of`` orients triples by ``cmp_t``, the TB-antisym rule
+    tests ``cmp_hall_t``. Seen from 7 vertices on, for example on
+    ``gr(b, gr(b, a; a), b, b; a)`` over the generators a, b."""
 
 
 class InternalRewriteError(Exception):
@@ -150,11 +152,6 @@ def lat_project(x):
     return LinComb({t: c for t, c in x.items() if not has_bracket(t)})
 
 
-def kill_brackets(x):
-    """Same projection on any basis (used on raw inputs)."""
-    return LinComb({t: c for t, c in x.items() if not has_bracket(t)})
-
-
 # -- exact helpers ---------------------------------------------------------------
 
 _BH2T = {}
@@ -186,29 +183,15 @@ def t_mul(x, y):
 
 
 def t_mul_lin(X, Y):
-    out = LinComb()
-    for x, cx in X.items():
-        for y, cy in Y.items():
-            out.add_in(t_mul(x, y), cx * cy)
-    return out
+    return multilinear(t_mul, X, Y)
 
 
 def t_word_action(words, target):
     """A combination of words of triple-basis letters acting on a combination
     (exact free evaluation)."""
     from .bases import t_value
-    bw = LinComb()
-    for w, c in words.items():
-        bw.add_in(word_lincomb([t_value(l) for l in w]), c)
+    bw = words.map_terms(lambda w: word_lincomb([t_value(l) for l in w]))
     return _bhat_lc_to_t(word_act_trees(bw, t_value_lin(target)))
-
-
-def brk_raw(X, Y):
-    out = LinComb()
-    for x, cx in X.items():
-        for y, cy in Y.items():
-            out.add_in(LinComb.of(brk(x, y)), cx * cy)
-    return out
 
 
 def triple_of(y, z, w):
@@ -221,12 +204,7 @@ def triple_of(y, z, w):
 
 
 def triple_raw(Y, Z, W):
-    out = LinComb()
-    for y, cy in Y.items():
-        for z, cz in Z.items():
-            for w, cw in W.items():
-                out.add_in(triple_of(y, z, w), cy * cz * cw)
-    return out
+    return multilinear(triple_of, Y, Z, W)
 
 
 def _of(t):
@@ -237,7 +215,7 @@ def _of(t):
 
 def _ply2_single(s, u, v):
     # s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]]
-    return brk_raw(t_mul(s, u), _of(v)) + brk_raw(_of(u), t_mul(s, v))
+    return tree_brk(t_mul(s, u), _of(v)) + tree_brk(_of(u), t_mul(s, v))
 
 
 _E2 = {}
@@ -352,23 +330,12 @@ def _ply5_step(u, v, z, w, sign):
 
 # -- redex location and substitution ----------------------------------------------
 
-def _children(t):
-    if t.kind == BRK:
-        return (("x", t.x), ("y", t.y))
-    if t.kind == SYMGRAFT:
-        return tuple((("s", i), b) for i, b in enumerate(t.sym)) + (("root", t.root),)
-    if t.kind == TRIPLE:
-        return (tuple((("s", i), b) for i, b in enumerate(t.sym))
-                + (("y", t.y), ("z", t.z), ("w", t.w)))
-    return ()
-
-
 def find_redex(t):
     """Path to the innermost reducible subterm. Triples with a symmetric part
     are reduced before their children so slot constraints never bite."""
     if t.kind == TRIPLE and t.sym:
         return (), t
-    for slot, child in _children(t):
+    for slot, child in subterms(t):
         if not is_B(child):
             p, s = find_redex(child)
             return (slot,) + p, s
@@ -399,33 +366,24 @@ def subst(t, path, repl):
     slot, rest = path[0], path[1:]
     if t.kind == BRK:
         if slot == "x":
-            return brk_raw(subst(t.x, rest, repl), _of(t.y))
-        return brk_raw(_of(t.x), subst(t.y, rest, repl))
+            return tree_brk(subst(t.x, rest, repl), _of(t.y))
+        return tree_brk(_of(t.x), subst(t.y, rest, repl))
     if t.kind == SYMGRAFT:
         if slot == "root":
-            sub = subst(t.root, rest, repl)
-            out = LinComb()
-            for r, c in sub.items():
+            def on_root(r):
                 assert r.kind in (GEN, BRK), "graft root rewrote to a non-root shape"
-                out.add_in(_of(symgraft(t.sym, r)), c)
-            return out
+                return _of(symgraft(t.sym, r))
+            return subst(t.root, rest, repl).map_terms(on_root)
         i = slot[1]
-        sub = subst(t.sym[i], rest, repl)
-        out = LinComb()
-        for u, c in sub.items():
-            out.add_in(_of(symgraft(t.sym[:i] + (u,) + t.sym[i + 1:], t.root)), c)
-        return out
+        return subst(t.sym[i], rest, repl).map_terms(
+            lambda u: _of(symgraft(t.sym[:i] + (u,) + t.sym[i + 1:], t.root)))
     if t.kind == TRIPLE:
         assert not t.sym, "triples with symmetric parts are head redexes"
         if slot == "y":
             return triple_raw(subst(t.y, rest, repl), _of(t.z), _of(t.w))
         if slot == "z":
             return triple_raw(_of(t.y), subst(t.z, rest, repl), _of(t.w))
-        sub = subst(t.w, rest, repl)
-        out = LinComb()
-        for u, c in sub.items():
-            out.add_in(_of(triple((), t.y, t.z, u)), c)
-        return out
+        return subst(t.w, rest, repl).map_terms(lambda u: _of(triple((), t.y, t.z, u)))
     raise InternalRewriteError("cannot substitute into %r" % t)
 
 
@@ -457,8 +415,8 @@ def head_rewrite(s):
         if w.kind == BRK:
             # [y,z,[[u,v]]] = [[[y,z,u],v]] + [[u,[y,z,v]]]  (from PLY2)
             u, v = w.x, w.y
-            repl = (brk_raw(triple_of(y, z, u), _of(v))
-                    + brk_raw(_of(u), triple_of(y, z, v)))
+            repl = (tree_brk(triple_of(y, z, u), _of(v))
+                    + tree_brk(_of(u), triple_of(y, z, v)))
             return ("PLY2", (("x", y), ("y", z), ("u", u), ("v", v)), repl)
         ch = cmp_hall_t(y, z)
         if ch < 0:
@@ -539,10 +497,6 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
     return work, RewriteTrace(start, work, tuple(steps))
 
 
-def normalize_value(x, **kw):
-    return normalize(x, **kw)[0]
-
-
 def check_trace(input_lc, output_lc, trace, explain=False):
     """Replay a trace: every step's replacement is recomputed from the redex
     and the chain must reproduce the output exactly."""
@@ -589,10 +543,6 @@ def iota(t):
     return hall.leaf(t)
 
 
-def _lift_cmp_t0(a, b):
-    return cmp_t(a, b)
-
-
 def is_lts_hall_t(t):
     """The Hall predicate on a triple-basis element via the injection."""
-    return hall.is_lts_hall(iota(t), _lift_cmp_t0)
+    return hall.is_lts_hall(iota(t), cmp_t)

@@ -133,10 +133,6 @@ def _cmp_shat(x, y):
     return cmp_shat(x.root, y.root)
 
 
-def shat_key(x):
-    return cmp_to_key(cmp_shat)(x)
-
-
 def sort_by(elems, cmp, reverse=False):
     return sorted(elems, key=cmp_to_key(cmp), reverse=reverse)
 

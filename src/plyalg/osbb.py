@@ -30,10 +30,7 @@ def expand(word):
 
 
 def expand_lincomb(x):
-    out = LinComb()
-    for w, c in x.items():
-        out.add_in(expand(w), c)
-    return out
+    return x.map_terms(expand)
 
 
 def _submultisets(counter):

@@ -17,38 +17,31 @@ from .osbb import decompose, expand_lincomb, words_for_multiset
 from .tensor import (letters_to_words, lie_word, tensor_mul, tree_brk,
                      tree_mul, triple_bracket, word_act_trees)
 from .terms import Alphabet, LinComb
-from .yamaguti import check_lat_degeneration, check_ly_axioms
-
-
-def _value(t):
-    return any_to_bhat(t)
-
-
-def _act(wordcomb, target):
-    return word_act_trees(wordcomb, target)
+from .yamaguti import (basis_pool, check_lat_degeneration, check_ly_axioms,
+                       draw_tuples)
 
 
 def relation_residual(rule, args):
     """LHS − RHS of a defining relation, as an exact tree-basis element."""
     if rule == "PLY1":
-        x, y = map(_value, args)
+        x, y = map(any_to_bhat, args)
         return tree_brk(x, y) + tree_brk(y, x)
     if rule == "PLY2":
-        u, x, y = map(_value, args)
+        u, x, y = map(any_to_bhat, args)
         return (tree_mul(u, tree_brk(x, y))
                 - tree_brk(tree_mul(u, x), y) - tree_brk(x, tree_mul(u, y)))
     if rule == "PLY3":
-        u, x, y, z = map(_value, args)
+        u, x, y, z = map(any_to_bhat, args)
         lhs = tree_mul(u, triple_bracket(x, y, z))
         rhs = (triple_bracket(tree_mul(u, x), y, z)
                + triple_bracket(x, tree_mul(u, y), z)
                + triple_bracket(x, y, tree_mul(u, z))
-               + _act(tensor_mul(letters_to_words(u),
-                                 letters_to_words(tree_brk(x, y))), z)
+               + word_act_trees(tensor_mul(letters_to_words(u),
+                                           letters_to_words(tree_brk(x, y))), z)
                - tree_mul(tree_brk(x, y), tree_mul(u, z)))
         return lhs - rhs
     if rule == "PLY4":
-        x, y, z = map(_value, args)
+        x, y, z = map(any_to_bhat, args)
         out = LinComb()
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             out += tree_brk(tree_brk(a, b), c)
@@ -56,20 +49,21 @@ def relation_residual(rule, args):
             out += tree_mul(tree_brk(a, b), c)
         return out
     if rule == "PLY5":
-        x, y, z, u = map(_value, args)
+        x, y, z, u = map(any_to_bhat, args)
         out = LinComb()
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             out += triple_bracket(tree_brk(a, b), c, u)
             out -= tree_mul(tree_brk(tree_brk(a, b), c), u)
         return out
     if rule == "PLY6":
-        u, v, x, y, z = map(_value, args)
+        u, v, x, y, z = map(any_to_bhat, args)
         lhs = triple_bracket(u, v, triple_bracket(x, y, z))
         rhs = (triple_bracket(triple_bracket(u, v, x), y, z)
                + triple_bracket(x, triple_bracket(u, v, y), z)
                + triple_bracket(x, y, triple_bracket(u, v, z))
-               + _act(tensor_mul(lie_word(letters_to_words(u), letters_to_words(v)),
-                                 letters_to_words(tree_brk(x, y))), z)
+               + word_act_trees(tensor_mul(lie_word(letters_to_words(u),
+                                                    letters_to_words(v)),
+                                           letters_to_words(tree_brk(x, y))), z)
                - tree_mul(tree_brk(x, y), triple_bracket(u, v, z)))
         return lhs - rhs
     raise ValueError("unknown relation %r" % rule)
@@ -78,19 +72,12 @@ def relation_residual(rule, args):
 RELATION_ARITY = {"PLY1": 2, "PLY2": 3, "PLY3": 4, "PLY4": 3, "PLY5": 4, "PLY6": 5}
 
 
-def _basis_pool(max_vertices, alphabet, arity):
-    pool = []
-    for n in range(1, max_vertices - arity + 2):
-        pool.extend(enumerate_B(n, alphabet))
-    return pool
-
-
 def sample_basis_tuples(arity, max_vertices, samples, seed, alphabet):
     """Seeded tuples of basis elements with bounded total vertex count.
 
     If the full grid is at most ``samples`` large, it is returned whole.
     """
-    pool = _basis_pool(max_vertices, alphabet, arity)
+    pool = basis_pool(max_vertices, alphabet, arity)
     full = []
 
     def rec(acc, used):
@@ -111,15 +98,7 @@ def sample_basis_tuples(arity, max_vertices, samples, seed, alphabet):
     rec([], 0)
     if len(full) <= samples:
         return full
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        while True:
-            pick = tuple(rng.choice(pool) for _ in range(arity))
-            if sum(t.vc for t in pick) <= max_vertices:
-                out.append(pick)
-                break
-    return out
+    return draw_tuples(pool, arity, max_vertices, samples, random.Random(seed))
 
 
 def suite_ply_axioms(max_vertices=6, samples=500, seed=0, gens=1):

@@ -11,20 +11,14 @@ test doubles.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
-from .terms import (BRK, GEN, GRAFT, LinComb, brk, graft)
+from .terms import BRK, GEN, GRAFT, LinComb, brk, graft, multilinear
 
 EMPTY = ()
-
-
-def word_of(*letters):
-    return tuple(letters)
-
-
-def word_vc(w):
-    return sum(t.vc for t in w)
 
 
 def unit():
@@ -47,11 +41,7 @@ def words_to_letters(x):
 
 def tensor_mul(u, v):
     """Bilinear concatenation of tensor words."""
-    out = LinComb()
-    for wu, cu in u.items():
-        for wv, cv in v.items():
-            out.add_in(LinComb.of(wu + wv), cu * cv)
-    return out
+    return multilinear(lambda wu, wv: LinComb.of(wu + wv), u, v)
 
 
 def lie_word(u, v):
@@ -61,10 +51,7 @@ def lie_word(u, v):
 
 def word_lincomb(parts):
     """Concatenate a sequence of letter-combinations into a word combination."""
-    out = unit()
-    for p in parts:
-        out = tensor_mul(out, letters_to_words(p))
-    return out
+    return reduce(tensor_mul, map(letters_to_words, parts), unit())
 
 
 def symmetrize(x):
@@ -75,17 +62,10 @@ def symmetrize(x):
         if n <= 1:
             out.add_in(LinComb.of(w), c)
             continue
-        scale = c * Fraction(1, _factorial(n))
+        scale = c * Fraction(1, math.factorial(n))
         for perm, mult in Counter(itertools.permutations(w)).items():
             out.add_in(LinComb.of(perm), scale * mult)
     return out
-
-
-def _factorial(n):
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
 
 
 def triangle(u, v, base):
@@ -95,11 +75,7 @@ def triangle(u, v, base):
     letters. The empty word acts as the identity on the left; a nonempty word
     acting on the empty word gives 0.
     """
-    out = LinComb()
-    for wu, cu in u.items():
-        for wv, cv in v.items():
-            out.add_in(_tri_words(wu, wv, base), cu * cv)
-    return out
+    return multilinear(lambda wu, wv: _tri_words(wu, wv, base), u, v)
 
 
 def _tri_words(wu, wv, base):
@@ -111,10 +87,7 @@ def _tri_words(wu, wv, base):
         return _derive(wu[0], wv, base)
     # (x · rest) ▷ v  =  x ▷ (rest ▷ v)  -  (x ▷ rest) ▷ v
     x, rest = wu[0], wu[1:]
-    inner = _tri_words(rest, wv, base)
-    out = LinComb()
-    for w, c in inner.items():
-        out.add_in(_tri_words((x,), w, base), c)
+    out = _tri_words(rest, wv, base).map_terms(lambda w: _tri_words((x,), w, base))
     deriv = _derive(x, rest, base)
     for w, c in deriv.items():
         out.add_in(_tri_words(w, wv, base), -c)
@@ -159,20 +132,13 @@ def graft_product(x, y):
 
 def tree_mul(u, v):
     """Bilinear free product on tree-basis combinations."""
-    out = LinComb()
-    for x, cx in u.items():
-        for y, cy in v.items():
-            out.add_in(graft_product(x, y), cx * cy)
-    return out
+    return multilinear(graft_product, u, v)
 
 
 def tree_brk(u, v):
-    """Bilinear bracket on tree-basis combinations."""
-    out = LinComb()
-    for x, cx in u.items():
-        for y, cy in v.items():
-            out.add_in(LinComb.of(brk(x, y)), cx * cy)
-    return out
+    """Bilinear bracket of two combinations (of tree-basis or triple-basis
+    terms)."""
+    return multilinear(lambda x, y: LinComb.of(brk(x, y)), u, v)
 
 
 def associator(x, y, z, mul=tree_mul):

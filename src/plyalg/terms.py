@@ -19,7 +19,10 @@ orders module and are applied at comparison/printing time.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 GEN, BRK, GRAFT, OGRAFT, SYMGRAFT, TRIPLE = range(6)
 
@@ -356,9 +359,10 @@ class LinComb:
 
     @classmethod
     def of(cls, term, coeff=ONE):
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return cls()
+        if coeff is not ONE:
+            coeff = Fraction(coeff)
+            if coeff == 0:
+                return cls()
         return cls({term: coeff})
 
     @classmethod
@@ -437,7 +441,8 @@ class LinComb:
         return self
 
     def map_terms(self, f):
-        """Linear extension of a map term -> LinComb."""
+        """Linear extension of a map term -> LinComb (``multilinear`` with
+        one combination)."""
         out = LinComb()
         for t, c in self.terms.items():
             out.add_in(f(t), c)
@@ -451,13 +456,13 @@ class LinComb:
         return render_lincomb(self)
 
 
-def lincomb_add(a, b):
-    return a + b
-
-
-def lincomb_scale(a, k):
-    return a.scale(k)
-
-
-def lincomb_zero():
-    return LinComb()
+def multilinear(f, *combs):
+    """Multilinear extension of a map (term, ..., term) -> LinComb: the sum,
+    over every choice of one term from each combination, of f at those terms
+    times the product of their coefficients. Choices are visited in
+    iteration order, the first combination outermost."""
+    out = LinComb()
+    for tcs in itertools.product(*(x.terms.items() for x in combs)):
+        ts, cs = zip(*tcs)
+        out.add_in(f(*ts), reduce(mul, cs))
+    return out

@@ -12,25 +12,21 @@ from .tensor import tree_brk, tree_mul, triple_bracket
 from .terms import Alphabet, LinComb, has_bracket
 
 
-def _as_bhat(x):
-    return any_to_bhat(x)
-
-
 def ly_binary(x, y, fuel=DEFAULT_FUEL):
     """Normalized bracket of two elements."""
-    return normalize(tree_brk(_as_bhat(x), _as_bhat(y)), fuel=fuel)[0]
+    return normalize(tree_brk(any_to_bhat(x), any_to_bhat(y)), fuel=fuel)[0]
 
 
 def ly_triple(x, y, z, fuel=DEFAULT_FUEL):
     """Normalized {x,y,z} = [[x,y]] ▷ z − [x,y,z]."""
-    ax, ay, az = _as_bhat(x), _as_bhat(y), _as_bhat(z)
+    ax, ay, az = any_to_bhat(x), any_to_bhat(y), any_to_bhat(z)
     raw = tree_mul(tree_brk(ax, ay), az) - triple_bracket(ax, ay, az)
     return normalize(raw, fuel=fuel)[0]
 
 
 def triple_bracket_nf(x, y, z, fuel=DEFAULT_FUEL):
     """Normalized triple-bracket [x,y,z]."""
-    return normalize(triple_bracket(_as_bhat(x), _as_bhat(y), _as_bhat(z)),
+    return normalize(triple_bracket(any_to_bhat(x), any_to_bhat(y), any_to_bhat(z)),
                      fuel=fuel)[0]
 
 
@@ -83,10 +79,16 @@ AXIOMS = (("LY1", _ly1, 1), ("LY2", _ly2, 2), ("LY3", _ly3, 3),
           ("LY4", _ly4, 4), ("LY5", _ly5, 4), ("LY6", _ly6, 5))
 
 
-def _sample_tuples(arity, max_vertices, samples, rng, alphabet):
-    pool = []
-    for n in range(1, max_vertices - arity + 2):
-        pool.extend(enumerate_B(n, alphabet))
+def basis_pool(max_vertices, alphabet, arity):
+    """The basis elements that fit in one slot of an ``arity``-tuple of at
+    most ``max_vertices`` vertices, by grade."""
+    return [t for n in range(1, max_vertices - arity + 2)
+            for t in enumerate_B(n, alphabet)]
+
+
+def draw_tuples(pool, arity, max_vertices, samples, rng):
+    """``samples`` tuples drawn from the pool, each drawn again until its
+    vertex count is at most ``max_vertices``."""
     out = []
     for _ in range(samples):
         while True:
@@ -109,7 +111,8 @@ def check_ly_axioms(max_vertices=6, samples=20, seed=0, alphabet=None):
     for name, fn, arity in AXIOMS:
         if arity > max_vertices:
             continue
-        for args in _sample_tuples(arity, max_vertices, samples, rng, alphabet):
+        pool = basis_pool(max_vertices, alphabet, arity)
+        for args in draw_tuples(pool, arity, max_vertices, samples, rng):
             residual = fn(*args)
             reports.append(LYReport(name, args, residual))
     return reports
@@ -120,16 +123,9 @@ def check_lat_degeneration(max_vertices=5, samples=20, seed=0, alphabet=None):
     ternary operation is minus the triple-bracket. Returns LYReports."""
     if alphabet is None:
         alphabet = Alphabet.of_size(1)
-    rng = random.Random(seed)
-    pool = []
-    for n in range(1, max_vertices - 1):
-        pool.extend(t for t in enumerate_B(n, alphabet) if not has_bracket(t))
+    pool = [t for t in basis_pool(max_vertices, alphabet, 3) if not has_bracket(t)]
     reports = []
-    for _ in range(samples):
-        while True:
-            x, y, z = (rng.choice(pool) for _ in range(3))
-            if x.vc + y.vc + z.vc <= max_vertices:
-                break
+    for x, y, z in draw_tuples(pool, 3, max_vertices, samples, random.Random(seed)):
         reports.append(LYReport("LAT-binary", (x, y), lat_project(ly_binary(x, y))))
         res = lat_project(ly_triple(x, y, z)) + lat_project(triple_bracket_nf(x, y, z))
         reports.append(LYReport("LAT-triple", (x, y, z), res))

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 from plyalg.bases import (alpha_count, beta_count, enumerate_Bhat,
                           enumerate_S, enumerate_Shat, enumerate_T,
-                          from_shat, phi, phi_inv, shat_to_t, t_to_shat,
-                          t_value, to_shat)
+                          from_shat, phi, phi_inv, phi_lin, shat_to_t,
+                          t_value, t_value_lin, to_shat)
 from plyalg.orders import cmp_shat
 from plyalg.terms import (SYMGRAFT, TRIPLE, Alphabet, LinComb, graft, ograft,
                           osbb_word)
@@ -108,15 +108,14 @@ def test_phi_triangularity():
 
 
 def test_phi_on_A():
-    from plyalg.bases import phi_on_A
     from plyalg.tensor import letters_to_words, lie_word, word_act_trees
     # generators are fixed
-    assert phi_on_A(LinComb.of(a)) == LinComb.of(a)
+    assert phi_lin(to_shat(LinComb.of(a))) == LinComb.of(a)
     # the commutator word (g2·a − a·g2) grafted on a maps to a triple-bracket
     g2 = graft((a,), a)
     word = lie_word(letters_to_words(LinComb.of(g2)),
                     letters_to_words(LinComb.of(a)))
-    out = phi_on_A(word_act_trees(word, LinComb.of(a)))
+    out = phi_lin(to_shat(word_act_trees(word, LinComb.of(a))))
     assert len(out) == 1
     (t, c), = out.items()
     assert c == 1 and t.kind == TRIPLE and not t.sym
@@ -126,10 +125,10 @@ def test_shat_to_t_roundtrip():
     for n in range(1, 5):
         for s in enumerate_Shat(n, A1):
             x = LinComb.of(s)
-            assert t_to_shat(shat_to_t(x)) == x
+            assert to_shat(t_value_lin(shat_to_t(x))) == x
         for t in enumerate_T(n, A1):
             x = LinComb.of(t)
-            assert shat_to_t(t_to_shat(x)) == x
+            assert shat_to_t(to_shat(t_value_lin(x))) == x
 
 
 # -- structural lemmas over the block basis -------------------------------------

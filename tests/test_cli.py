@@ -93,6 +93,24 @@ def test_elab_error_exit_1(capsys):
     assert code == 1
 
 
+def test_deep_nesting_exit_1(capsys):
+    # too deep for the recursive parser (400) or for elaboration (270)
+    for depth in (270, 400):
+        text = "bk(a, " * depth + "a" + ")" * depth
+        code, out, err = run(capsys, "normalize", text)
+        assert code == 1 and not out
+        assert err.startswith("error: expression nested too deeply")
+        assert err.count("\n") == 1
+
+
+def test_order_conflict_exit_4(capsys):
+    # a known defect: triple_of orients by cmp_t, TB-antisym tests cmp_hall_t
+    code, out, err = run(capsys, "normalize", "gr(b, gr(b, a; a), b, b; a)",
+                         "--gens", "a,b")
+    assert code == 4 and not out
+    assert err.startswith("rewrite error: ") and err.count("\n") == 1
+
+
 def test_fuel_exhausted_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "bk(a, gr(a;a))", "--fuel", "0")
     assert code == 2 and "fuel" in err
