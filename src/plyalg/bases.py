@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from . import osbb
-from .orders import cmp_hall_words, cmp_shat, sort_by
+from .orders import cmp_ints, cmp_shat, shat_key, sort_by
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, block,
                     brk, canon_key, graft, multilinear, ograft, osbb_word,
                     subterms, symgraft, triple)
@@ -152,45 +152,46 @@ def phi_inv_lin(x):
 _CMP_T = {}
 
 
+def t_key(t):
+    """Sort key of a triple-basis element: the pullback of ``shat_key``
+    along phi."""
+    k = _CMP_T.get(t)
+    if k is None:
+        k = _CMP_T[t] = shat_key(phi_inv(t))
+    return k
+
+
 def cmp_t(x, y):
     """Pullback of the block-basis order along phi."""
     if x is y:
         return 0
-    key = (x, y)
-    r = _CMP_T.get(key)
-    if r is None:
-        r = cmp_shat(phi_inv(x), phi_inv(y))
-        _CMP_T[key] = r
-        _CMP_T[(y, x)] = -r
-    return r
+    return cmp_ints(t_key(x), t_key(y))
 
 
 _FOLIAGE = {}
 
 
-def foliage_t(t):
-    """Leaf word of a triple-basis element in the ternary magma over the
-    non-triple elements (a bare triple-bracket splits, everything else is a
-    single letter)."""
-    f = _FOLIAGE.get(t)
-    if f is None:
+def hall_t_key(t):
+    """Hall sort key of a triple-basis element: its leaf word in the ternary
+    magma over the non-triple elements (a bare triple-bracket splits,
+    everything else is a single letter), length first and letters by
+    ``t_key``; equal words fall back to ``t_key`` (total)."""
+    k = _FOLIAGE.get(t)
+    if k is None:
+        tk = t_key(t)
         if t.kind == TRIPLE and not t.sym:
-            f = foliage_t(t.y) + foliage_t(t.z) + foliage_t(t.w)
+            word = hall_t_key(t.y)[1] + hall_t_key(t.z)[1] + hall_t_key(t.w)[1]
         else:
-            f = (t,)
-        _FOLIAGE[t] = f
-    return f
+            word = (tk,)
+        k = _FOLIAGE[t] = (len(word), word, tk)
+    return k
 
 
 def cmp_hall_t(x, y):
-    """Hall order on the triple basis: foliage words compared length-first,
-    letters by cmp_t; equal foliages fall back to cmp_t (total)."""
+    """Hall order on the triple basis."""
     if x is y:
         return 0
-    r = cmp_hall_words(foliage_t(x), foliage_t(y), cmp_t)
-    if r:
-        return r
-    return cmp_t(x, y)
+    return cmp_ints(hall_t_key(x), hall_t_key(y))
 
 
 # -- evaluation and coordinate changes ----------------------------------------
@@ -365,7 +366,7 @@ def enumerate_S(n, alphabet):
             for w in osbb.words_for_multiset(ms, cmp_shat):
                 for c in alphabet.gens:
                     items.append(ograft(w, c))
-        out = tuple(sort_by(items, cmp_shat))
+        out = tuple(sort_by(items, shat_key))
     _S_GRADE[key] = out
     return out
 
@@ -395,7 +396,7 @@ def enumerate_Shat(n, alphabet):
                 for w in osbb.words_for_multiset(ms, cmp_shat):
                     for r in roots:
                         items.append(ograft(w, r))
-        out = tuple(sort_by(items, cmp_shat))
+        out = tuple(sort_by(items, shat_key))
     _SHAT_GRADE[key] = out
     return out
 

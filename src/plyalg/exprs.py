@@ -296,13 +296,13 @@ def parse_tensor(text, alphabet):
 # -- printing ---------------------------------------------------------------------
 
 def _sorted_desc_t(items):
-    from .bases import cmp_t
-    return sorted(items, key=cmp_to_key(cmp_t), reverse=True)
+    from .bases import t_key
+    return sorted(items, key=t_key, reverse=True)
 
 
 def _sorted_desc_s(items):
-    from .orders import cmp_shat
-    return sorted(items, key=cmp_to_key(cmp_shat), reverse=True)
+    from .orders import shat_key
+    return sorted(items, key=shat_key, reverse=True)
 
 
 def render_term(t):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import hall
 from .bases import (any_to_t, cmp_hall_t, cmp_t, enumerate_T, shat_to_t,
-                    t_value_lin, to_shat)
+                    t_key, t_value_lin, to_shat)
 from .tensor import tree_brk, tree_mul, word_lincomb, word_act_trees
 from .terms import (BRK, GEN, SYMGRAFT, TRIPLE, LinComb, brk, canon_key,
                     has_bracket, multilinear, subterms, symgraft, triple)
@@ -344,18 +344,7 @@ def find_redex(t):
 
 def subterm_at(t, path):
     for slot in path:
-        if slot == "x":
-            t = t.x
-        elif slot == "y":
-            t = t.y
-        elif slot == "z":
-            t = t.z
-        elif slot == "w":
-            t = t.w
-        elif slot == "root":
-            t = t.root
-        else:
-            t = t.sym[slot[1]]
+        t = dict(subterms(t))[slot]
     return t
 
 
@@ -442,19 +431,11 @@ def head_rewrite(s):
 # -- the worklist loop ----------------------------------------------------------------
 
 def _pick_reference(victims, rng):
-    best = victims[0]
-    for t in victims[1:]:
-        if cmp_t(t, best) > 0:
-            best = t
-    return best
+    return max(victims, key=t_key)
 
 
 def _pick_smallest(victims, rng):
-    best = victims[0]
-    for t in victims[1:]:
-        if cmp_t(t, best) < 0:
-            best = t
-    return best
+    return min(victims, key=t_key)
 
 
 def _pick_seeded(victims, rng):

@@ -1,9 +1,10 @@
 """Total orders on words, OSBB words, and symmetric-block basis elements.
 
-All comparators return -1/0/+1. ``cmp_shat`` is the order used when forming
-OSBB words over the two-operator basis: vertex count first, then shape
-(generator < bracket < graft), then structure. The same function orders the
-one-operator basis, whose elements are the bracket-free special case.
+Each order is a tuple sort key, computed once per term and cached; the
+comparators return -1/0/+1 by comparing keys. ``shat_key`` orders the
+symmetric-block basis: vertex count first, then shape (generator < bracket <
+graft), then structure. The same key orders the one-operator basis, whose
+elements are the bracket-free special case.
 """
 from __future__ import annotations
 
@@ -31,110 +32,55 @@ def cmp_hall_words(a, b, cmpl):
     return 0
 
 
-def _desc(xs, cmpl):
-    return sorted(xs, key=cmp_to_key(cmpl), reverse=True)
+def _desc(xs, key):
+    return tuple(sorted(map(key, xs), reverse=True))
 
 
-def _cmp_desc_lex(a, b, cmpl):
-    """Lexicographic comparison of equal-size multisets, largest letters first."""
-    for x, y in zip(_desc(a, cmpl), _desc(b, cmpl)):
-        r = cmpl(x, y)
-        if r:
-            return r
-    return 0
-
-
-def _cmp_sym(a, b, cmpl):
-    # symmetric words: length, then descending-sorted letters
-    if len(a) != len(b):
-        return cmp_ints(len(a), len(b))
-    return _cmp_desc_lex(a, b, cmpl)
-
-
-def _cmp_block_pair(p, q, cmpl):
-    # ordered symmetric-bracket blocks: sym size, then z, then y, then sym part
-    r = cmp_ints(len(p.sym), len(q.sym))
-    if r:
-        return r
-    r = cmpl(p.z, q.z)
-    if r:
-        return r
-    r = cmpl(p.y, q.y)
-    if r:
-        return r
-    return _cmp_desc_lex(p.sym, q.sym, cmpl)
-
-
-def _stream(w):
-    out = [("b", b) for b in w.blocks]
+def delta_key(w, key):
+    """Sort key of an OSBB word over letters ordered by ``key``: total length,
+    then block by block. A block sorts by its length, z, y and its symmetric
+    part; a bracket block sorts below a symmetric multiset of equal length."""
+    items = [(b.length, 0, key(b.z), key(b.y), _desc(b.sym, key)) for b in w.blocks]
     if w.tail:
-        out.append(("s", w.tail))
-    return out
+        items.append((len(w.tail), 1, _desc(w.tail, key)))
+    return (w.length, tuple(items))
 
 
 def cmp_delta(w1, w2, cmpl):
-    """Order on OSBB words: total length first, then the first differing block.
-
-    A bracket block beats a symmetric block only when it is strictly longer.
-    """
+    """Order on OSBB words: total length first, then the first differing block."""
     if w1 is w2:
         return 0
-    if w1.length != w2.length:
-        return cmp_ints(w1.length, w2.length)
-    for a, b in zip(_stream(w1), _stream(w2)):
-        ka, kb = a[0], b[0]
-        if ka == "b" and kb == "b":
-            r = _cmp_block_pair(a[1], b[1], cmpl)
-        elif ka == "s" and kb == "s":
-            r = _cmp_sym(a[1], b[1], cmpl)
-        elif ka == "b":
-            r = 1 if a[1].length > len(b[1]) else -1
-        else:
-            r = -1 if b[1].length > len(a[1]) else 1
-        if r:
-            return r
-    raise AssertionError("distinct OSBB words compared equal: %r %r" % (w1, w2))
+    key = cmp_to_key(cmpl)
+    return cmp_ints(delta_key(w1, key), delta_key(w2, key))
 
 
 _CMP_SHAT = {}
+
+
+def shat_key(x):
+    """Sort key of a symmetric-block basis element."""
+    k = _CMP_SHAT.get(x)
+    if k is None:
+        if x.kind == GEN:
+            k = (x.vc, GEN, x.index)
+        elif x.kind == BRK:
+            k = (x.vc, BRK, shat_key(x.x), shat_key(x.y))
+        else:
+            assert x.kind == OGRAFT, "shat_key got a non-symmetric-block term"
+            k = (x.vc, OGRAFT, x.word.vc, delta_key(x.word, shat_key), shat_key(x.root))
+        _CMP_SHAT[x] = k
+    return k
 
 
 def cmp_shat(x, y):
     """Order on the symmetric-block basis of the free algebra."""
     if x is y:
         return 0
-    key = (x, y)
-    r = _CMP_SHAT.get(key)
-    if r is None:
-        r = _cmp_shat(x, y)
-        _CMP_SHAT[key] = r
-        _CMP_SHAT[(y, x)] = -r
-    return r
+    return cmp_ints(shat_key(x), shat_key(y))
 
 
-def _cmp_shat(x, y):
-    if x.vc != y.vc:
-        return cmp_ints(x.vc, y.vc)
-    if x.kind != y.kind:
-        return cmp_ints(x.kind, y.kind)  # Gen < Brk < OGraft
-    if x.kind == GEN:
-        return cmp_gen(x, y)
-    if x.kind == BRK:
-        r = cmp_shat(x.x, y.x)
-        if r:
-            return r
-        return cmp_shat(x.y, y.y)
-    assert x.kind == OGRAFT, "cmp_shat got a non-symmetric-block term"
-    if x.word.vc != y.word.vc:
-        return cmp_ints(x.word.vc, y.word.vc)
-    r = cmp_delta(x.word, y.word, cmp_shat)
-    if r:
-        return r
-    return cmp_shat(x.root, y.root)
-
-
-def sort_by(elems, cmp, reverse=False):
-    return sorted(elems, key=cmp_to_key(cmp), reverse=reverse)
+def sort_by(elems, key, reverse=False):
+    return sorted(elems, key=key, reverse=reverse)
 
 
 def is_total_order(cmp, elems):

@@ -4,7 +4,8 @@ ordered symmetric-bracket-block words over a totally ordered letter basis.
 
 The decomposition works per (length, letter-multiset) component: enumerate
 every OSBB word with that multiset, expand each, and solve the exact linear
-system. Components are cached keyed by the sorted letter multiset.
+system. Components are cached keyed by the letter order and the sorted
+letter multiset.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ _WORDS_CACHE = {}
 def words_for_multiset(letters, cmp):
     """Every OSBB word over the given letter multiset, as a tuple."""
     ms = tuple(sorted(letters, key=canon_key))
-    key = (id(cmp), ms)
+    key = (cmp, ms)
     res = _WORDS_CACHE.get(key)
     if res is not None:
         return res
@@ -78,7 +79,7 @@ _COMPONENTS = {}
 
 
 def _component(ms, cmp):
-    key = (id(cmp), ms)
+    key = (cmp, ms)
     comp = _COMPONENTS.get(key)
     if comp is not None:
         return comp

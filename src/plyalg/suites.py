@@ -81,7 +81,7 @@ def sample_basis_tuples(arity, max_vertices, samples, seed, alphabet):
     full = []
 
     def rec(acc, used):
-        if full is not None and len(full) > samples:
+        if len(full) > samples:
             return
         if len(acc) == arity:
             full.append(tuple(acc))

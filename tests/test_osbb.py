@@ -107,3 +107,17 @@ def test_linalg_helpers():
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     with pytest.raises(SingularSolveError):
         invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def test_words_cache_keeps_orders_apart():
+    # each order is the reverse of the one before and is freed after use, so
+    # a new order may be allocated where the last one lived
+    def blocks_agree(rank):
+        def cmp(x, y):
+            return (rank[x] > rank[y]) - (rank[x] < rank[y])
+        return all(cmp(blk.y, blk.z) > 0
+                   for w in words_for_multiset((a, b, c), cmp) for blk in w.blocks)
+
+    for i in range(20):
+        sign = 1 if i % 2 == 0 else -1
+        assert blocks_agree({a: 0, b: sign, c: 2 * sign})
