@@ -8,7 +8,7 @@ from .terms import (Alphabet, LinComb, bracket_count, brk, gen, graft,
                     vertex_count)
 from .tensor import (lie_word, symmetrize, tensor_mul, tree_brk, tree_mul,
                      triangle, triple_bracket)
-from .orders import cmp_delta, cmp_hall_words, cmp_shat
+from .orders import cmp_delta, cmp_shat
 from .osbb import decompose as osbb_decompose, expand as osbb_expand
 from .bases import (alpha_count, any_to_bhat, any_to_t, beta_count, cmp_t,
                     cmp_hall_t, enumerate_Bhat, enumerate_S, enumerate_Shat,

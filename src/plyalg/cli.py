@@ -38,12 +38,17 @@ def _alphabet(spec):
     if spec is None:
         return None
     try:
-        return Alphabet.of_size(int(spec))
+        k = int(spec)
     except ValueError:
         names = [n.strip() for n in spec.split(",") if n.strip()]
         if not names:
             raise UsageError("empty --gens")
+        if len(set(names)) != len(names):
+            raise UsageError("--gens repeats a generator name")
         return Alphabet(names)
+    if not 1 <= k <= 26:
+        raise UsageError("--gens must be a size from 1 to 26, got %d" % k)
+    return Alphabet.of_size(k)
 
 
 def _infer_alphabet(texts):
@@ -176,6 +181,8 @@ def run(argv):
         return 0
 
     if args.cmd == "enum":
+        if args.n < 1:
+            raise UsageError("--n must be at least 1, got %d" % args.n)
         alphabet = _alphabet(args.gens)
         elems = _enumerate(args.basis, args.n, alphabet)
         if args.json:

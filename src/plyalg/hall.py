@@ -3,111 +3,99 @@ and the ternary case (free Lie triple system bases), with the rewriting
 algorithm that expresses any ternary bracketing of Hall elements as a
 combination of Hall elements.
 
-Letters are arbitrary hashable values ordered by a supplied comparator.
-Foliage ties between structurally distinct nodes are broken by a fixed
-structural comparison so that every branch the rewriting takes is strict.
+Nodes are hash-consed: structurally equal nodes are the same Python object,
+so equality is identity. Letters are arbitrary hashable values ordered by a
+supplied comparator. The Hall order is one tuple sort key, cached per
+comparator and node: foliage length, foliage word, then structure, so that
+foliage ties between distinct nodes are broken and every branch the
+rewriting takes is strict. The LTS-Hall predicate is cached the same way.
 """
 from __future__ import annotations
 
-from .orders import cmp_hall_words, cmp_ints
+from functools import cmp_to_key
+
+from .orders import cmp_ints
 from .terms import LinComb
 
 
 class Leaf:
-    __slots__ = ("letter", "_hash")
-
-    def __init__(self, letter):
-        self.letter = letter
-        self._hash = hash(("leaf", letter))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Leaf) and self.letter == other.letter
+    __slots__ = ("letter",)
 
     def __repr__(self):
         return "Leaf(%r)" % (self.letter,)
 
 
 class Node2:
-    __slots__ = ("x", "y", "_hash")
-
-    def __init__(self, x, y):
-        self.x, self.y = x, y
-        self._hash = hash(("n2", x, y))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Node2) and self.x == other.x and self.y == other.y
+    __slots__ = ("x", "y")
 
     def __repr__(self):
         return "[%r,%r]" % (self.x, self.y)
 
 
 class Node3:
-    __slots__ = ("x", "y", "z", "_hash")
-
-    def __init__(self, x, y, z):
-        self.x, self.y, self.z = x, y, z
-        self._hash = hash(("n3", x, y, z))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (isinstance(other, Node3) and self.x == other.x
-                and self.y == other.y and self.z == other.z)
+    __slots__ = ("x", "y", "z")
 
     def __repr__(self):
         return "[%r,%r,%r]" % (self.x, self.y, self.z)
 
 
+_NODES = {}
+
+
+def _intern(cls, *parts):
+    key = (cls,) + parts
+    t = _NODES.get(key)
+    if t is None:
+        t = _NODES[key] = cls()
+        for slot, part in zip(cls.__slots__, parts):
+            setattr(t, slot, part)
+    return t
+
+
 def leaf(letter):
-    return Leaf(letter)
+    return _intern(Leaf, letter)
 
 
 def node2(x, y):
-    return Node2(x, y)
+    return _intern(Node2, x, y)
 
 
 def node3(x, y, z):
-    return Node3(x, y, z)
+    return _intern(Node3, x, y, z)
 
 
 def foliage(t):
     """In-order leaf word of a binary or ternary magma element."""
     if isinstance(t, Leaf):
         return (t.letter,)
-    if isinstance(t, Node2):
-        return foliage(t.x) + foliage(t.y)
-    return foliage(t.x) + foliage(t.y) + foliage(t.z)
+    return sum((foliage(getattr(t, slot)) for slot in t.__slots__), ())
 
 
-def _struct_cmp(a, b, cmpl):
-    arity = (lambda t: 0 if isinstance(t, Leaf) else (2 if isinstance(t, Node2) else 3))
-    r = cmp_ints(arity(a), arity(b))
-    if r:
-        return r
-    if isinstance(a, Leaf):
-        return cmpl(a.letter, b.letter)
-    parts_a = (a.x, a.y) if isinstance(a, Node2) else (a.x, a.y, a.z)
-    parts_b = (b.x, b.y) if isinstance(b, Node2) else (b.x, b.y, b.z)
-    for p, q in zip(parts_a, parts_b):
-        r = _struct_cmp(p, q, cmpl)
-        if r:
-            return r
-    return 0
+_HALL_KEY = {}
+
+
+def hall_key(t, cmpl):
+    """Sort key of the Hall order: foliage length, foliage word (letters by
+    ``cmpl``), then the structural key, which is (0, letter) for a leaf and
+    (arity, children's structural keys...) for a node."""
+    k = _HALL_KEY.get((cmpl, t))
+    if k is None:
+        if isinstance(t, Leaf):
+            letter = cmp_to_key(cmpl)(t.letter)
+            k = (1, (letter,), (0, letter))
+        else:
+            kids = [hall_key(getattr(t, slot), cmpl) for slot in t.__slots__]
+            k = (sum(kid[0] for kid in kids), sum((kid[1] for kid in kids), ()),
+                 (len(kids),) + tuple(kid[2] for kid in kids))
+        _HALL_KEY[(cmpl, t)] = k
+    return k
 
 
 def hall_cmp(a, b, cmpl):
-    """Foliage word comparison with a structural tiebreak (total)."""
-    r = cmp_hall_words(foliage(a), foliage(b), cmpl)
-    if r:
-        return r
-    return _struct_cmp(a, b, cmpl)
+    """The Hall order: foliage word order with a structural tiebreak (total)."""
+    if a is b:
+        return 0
+    return cmp_ints(hall_key(a, cmpl), hall_key(b, cmpl))
 
 
 def is_hall(t, cmpl):
@@ -123,6 +111,9 @@ def is_hall(t, cmpl):
     return hall_cmp(t.x.y, t.y, cmpl) <= 0
 
 
+_LTS_HALL = {}
+
+
 def is_lts_hall(t, cmpl):
     """Hall element of the free ternary magma (Lie triple system basis).
 
@@ -131,17 +122,15 @@ def is_lts_hall(t, cmpl):
     """
     if isinstance(t, Leaf):
         return True
-    assert isinstance(t, Node3)
-    if not (is_lts_hall(t.x, cmpl) and is_lts_hall(t.y, cmpl)
-            and is_lts_hall(t.z, cmpl)):
-        return False
-    if hall_cmp(t.x, t.y, cmpl) <= 0:
-        return False
-    if hall_cmp(t.y, t.z, cmpl) > 0:
-        return False
-    if isinstance(t.x, Leaf):
-        return True
-    return hall_cmp(t.x.z, t.y, cmpl) <= 0
+    r = _LTS_HALL.get((cmpl, t))
+    if r is None:
+        assert isinstance(t, Node3)
+        x, y, z = t.x, t.y, t.z
+        r = (is_lts_hall(x, cmpl) and is_lts_hall(y, cmpl) and is_lts_hall(z, cmpl)
+             and hall_cmp(x, y, cmpl) > 0 and hall_cmp(y, z, cmpl) <= 0
+             and (isinstance(x, Leaf) or hall_cmp(x.z, y, cmpl) <= 0))
+        _LTS_HALL[(cmpl, t)] = r
+    return r
 
 
 class RewriteStuck(Exception):
@@ -150,14 +139,12 @@ class RewriteStuck(Exception):
 
 def _find_non_hall(t, cmpl):
     """Path to the innermost non-Hall node, or None."""
-    if isinstance(t, Leaf):
-        return None
-    for slot, child in (("x", t.x), ("y", t.y), ("z", t.z)):
-        p = _find_non_hall(child, cmpl)
-        if p is not None:
-            return (slot,) + p
     if is_lts_hall(t, cmpl):
         return None
+    for slot in t.__slots__:
+        p = _find_non_hall(getattr(t, slot), cmpl)
+        if p is not None:
+            return (slot,) + p
     return ()
 
 
@@ -176,7 +163,7 @@ def _subst3(t, path, repl):
 def _step(t, cmpl):
     """One rewriting step at a node whose children are all Hall."""
     u, v, w = t.x, t.y, t.z
-    if u == v:
+    if u is v:
         return LinComb()
     c = hall_cmp(u, v, cmpl)
     if c < 0:

@@ -213,9 +213,40 @@ def _of(t):
 
 # -- rule expanders ---------------------------------------------------------------
 
+def _expand_sym(memo, single, act, sym, *head):
+    """s(sym) ▷ head modulo the ideal, memoized by (sym, *head): s(x·rest) =
+    x ▷ s(rest) − Σ_j s(rest with x ▷ rest_j), averaged over x. A letter acts
+    on the head by ``single(s, *head)``, on a term of the result by ``act``."""
+    sym = tuple(sorted(sym, key=canon_key))
+    key = (sym,) + head
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if len(sym) == 1:
+        out = single(sym[0], *head)
+    else:
+        out = LinComb()
+        f = Fraction(1, len(sym))
+        for i, s in enumerate(sym):
+            rest = sym[:i] + sym[i + 1:]
+            for t, c in _expand_sym(memo, single, act, rest, *head).items():
+                out.add_in(act(s, t), c * f)
+            for j in range(len(rest)):
+                for t2, c2 in t_mul(s, rest[j]).items():
+                    out.add_in(_expand_sym(memo, single, act,
+                                           rest[:j] + (t2,) + rest[j + 1:], *head), -c2 * f)
+    memo[key] = out
+    return out
+
+
 def _ply2_single(s, u, v):
     # s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]]
     return tree_brk(t_mul(s, u), _of(v)) + tree_brk(_of(u), t_mul(s, v))
+
+
+def _ply2_act(s, t):
+    assert t.kind == BRK
+    return _ply2_single(s, t.x, t.y)
 
 
 _E2 = {}
@@ -223,29 +254,7 @@ _E2 = {}
 
 def expand_sym_on_bracket(sym, u, v):
     """s(sym) ▷ [[u,v]] modulo the ideal: a combination of brackets."""
-    sym = tuple(sorted(sym, key=canon_key))
-    key = (sym, u, v)
-    out = _E2.get(key)
-    if out is not None:
-        return out
-    n = len(sym)
-    if n == 1:
-        out = _ply2_single(sym[0], u, v)
-    else:
-        out = LinComb()
-        f = Fraction(1, n)
-        for i in range(n):
-            s, rest = sym[i], sym[:i] + sym[i + 1:]
-            inner = expand_sym_on_bracket(rest, u, v)
-            for t, c in inner.items():
-                assert t.kind == BRK
-                out.add_in(_ply2_single(s, t.x, t.y), c * f)
-            for j in range(len(rest)):
-                for t2, c2 in t_mul(s, rest[j]).items():
-                    out.add_in(expand_sym_on_bracket(
-                        rest[:j] + (t2,) + rest[j + 1:], u, v), -c2 * f)
-    _E2[key] = out
-    return out
+    return _expand_sym(_E2, _ply2_single, _ply2_act, sym, u, v)
 
 
 def _ply3_single(s, y, z, w):
@@ -259,37 +268,19 @@ def _ply3_single(s, y, z, w):
     return out
 
 
+def _ply3_act(s, t):
+    if t.kind == TRIPLE and not t.sym:
+        return _ply3_single(s, t.y, t.z, t.w)
+    return t_mul(s, t)
+
+
 _E3 = {}
 
 
 def expand_sym_on_triple(sym, y, z, w):
     """s(sym) ▷ [y,z,w] modulo the ideal: no symmetric part remains on any
     triple-bracket in the result."""
-    sym = tuple(sorted(sym, key=canon_key))
-    key = (sym, y, z, w)
-    out = _E3.get(key)
-    if out is not None:
-        return out
-    n = len(sym)
-    if n == 1:
-        out = _ply3_single(sym[0], y, z, w)
-    else:
-        out = LinComb()
-        f = Fraction(1, n)
-        for i in range(n):
-            s, rest = sym[i], sym[:i] + sym[i + 1:]
-            inner = expand_sym_on_triple(rest, y, z, w)
-            for t, c in inner.items():
-                if t.kind == TRIPLE and not t.sym:
-                    out.add_in(_ply3_single(s, t.y, t.z, t.w), c * f)
-                else:
-                    out.add_in(t_mul(s, t), c * f)
-            for j in range(len(rest)):
-                for t2, c2 in t_mul(s, rest[j]).items():
-                    out.add_in(expand_sym_on_triple(
-                        rest[:j] + (t2,) + rest[j + 1:], y, z, w), -c2 * f)
-    _E3[key] = out
-    return out
+    return _expand_sym(_E3, _ply3_single, _ply3_act, sym, y, z, w)
 
 
 def _cyc(t):

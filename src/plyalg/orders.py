@@ -1,4 +1,4 @@
-"""Total orders on words, OSBB words, and symmetric-block basis elements.
+"""Total orders on generators, OSBB words, and symmetric-block basis elements.
 
 Each order is a tuple sort key, computed once per term and cached; the
 comparators return -1/0/+1 by comparing keys. ``shat_key`` orders the
@@ -19,17 +19,6 @@ def cmp_ints(a, b):
 
 def cmp_gen(a, b):
     return cmp_ints(a.index, b.index)
-
-
-def cmp_hall_words(a, b, cmpl):
-    """Word order: longer words are larger, ties broken letterwise."""
-    if len(a) != len(b):
-        return cmp_ints(len(a), len(b))
-    for x, y in zip(a, b):
-        r = cmpl(x, y)
-        if r:
-            return r
-    return 0
 
 
 def _desc(xs, key):

@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, determinism, trace files."""
 import json
 
+import pytest
+
 from plyalg.cli import main
 
 
@@ -81,6 +83,20 @@ def test_ly(capsys):
 def test_usage_error_exit_1(capsys):
     assert run(capsys, "enum", "--basis", "nope", "--n", "1")[0] == 1
     assert run(capsys, "normalize")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("enum", "--basis", "S", "--n", "0"),
+    ("enum", "--basis", "B", "--n", "-1"),
+    ("dims", "--basis", "T", "--max-n", "3", "--gens", "0"),
+    ("dims", "--basis", "T", "--max-n", "2", "--gens", "27"),
+    ("normalize", "a", "--gens", "a,a"),
+    ("check", "--suite", "osbb-roundtrip", "--gens", "0"),
+], ids=["n-0", "n-negative", "gens-0", "gens-27", "gens-repeated", "check-gens-0"])
+def test_bad_sizes_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_parse_error_exit_1(capsys):

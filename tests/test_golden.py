@@ -1,11 +1,17 @@
-"""Byte-identical `plyalg check` reports: the first 16 hex digits of the
-sha256 of stdout for fixed suites at the default seed. A change that alters
-normal forms or report text on purpose updates these digests and says why."""
+"""Byte-identical outputs: the first 16 hex digits of the sha256 of the
+stdout of fixed `plyalg check` suites at the default seed, and of the Hall
+normal forms of every ternary bracketing of a fixed size. A change that
+alters normal forms or report text on purpose updates these digests and
+says why."""
 import hashlib
+import itertools
 
 import pytest
 
 from plyalg.cli import main
+from plyalg.hall import leaf, lts_hall_rewrite, node3
+from plyalg.orders import cmp_gen
+from plyalg.terms import Alphabet, LinComb
 
 GOLDEN = {
     "ply-axioms-6": (("--suite", "ply-axioms", "--max-vertices", "6"), "b7cc45d682e06efc"),
@@ -24,3 +30,34 @@ def test_check_report_digest(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+def _shapes(n):
+    """Ternary bracketing shapes with n leaves, ``None`` for a leaf."""
+    if n == 1:
+        return [None]
+    return [(x, y, z) for i in range(1, n, 2) for j in range(1, n - i, 2)
+            for x in _shapes(i) for y in _shapes(j) for z in _shapes(n - i - j)]
+
+
+def _bracketing(shape, letters):
+    if shape is None:
+        return leaf(next(letters))
+    return node3(*(_bracketing(s, letters) for s in shape))
+
+
+@pytest.mark.parametrize("leaves,k,count,digest", [
+    (5, 3, 729, "517762e39935c238"),
+    (7, 2, 1536, "e7b415b9d73602c3"),
+], ids=["5-leaves-3-letters", "7-leaves-2-letters"])
+def test_hall_normal_form_digest(leaves, k, count, digest):
+    letters = Alphabet.of_size(k).gens
+    lines = []
+    for shape in _shapes(leaves):
+        for word in itertools.product(letters, repeat=leaves):
+            t = _bracketing(shape, iter(word))
+            out = sorted(lts_hall_rewrite(LinComb.of(t), cmp_gen).items(),
+                         key=lambda uc: repr(uc[0]))
+            lines.append("%r -> %s\n" % (t, " + ".join("%s * %r" % (c, u) for u, c in out)))
+    assert len(lines) == count
+    assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == digest

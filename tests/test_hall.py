@@ -5,10 +5,10 @@ import itertools
 import random
 from fractions import Fraction
 
-from plyalg.hall import (Node3, foliage, is_hall, is_lts_hall, leaf,
+from plyalg.hall import (Node3, foliage, hall_cmp, is_hall, is_lts_hall, leaf,
                          lts_hall_rewrite, node2, node3)
 from plyalg.linalg import rank
-from plyalg.orders import cmp_gen
+from plyalg.orders import cmp_gen, is_total_order
 from plyalg.terms import Alphabet, LinComb
 
 A2 = Alphabet.of_size(2)
@@ -21,6 +21,20 @@ def test_foliage():
     assert foliage(leaf(a)) == (a,)
     assert foliage(node2(leaf(a), node2(leaf(b), leaf(a)))) == (a, b, a)
     assert foliage(node3(leaf(a), leaf(b), leaf(a))) == (a, b, a)
+
+
+def test_nodes_interned():
+    assert leaf(a) is leaf(a)
+    assert node2(leaf(a), leaf(b)) is node2(leaf(a), leaf(b))
+    assert node3(leaf(b), leaf(a), leaf(a)) is node3(leaf(b), leaf(a), leaf(a))
+    assert node3(leaf(b), leaf(a), leaf(a)) is not node3(leaf(b), leaf(a), leaf(b))
+
+
+def test_hall_order_total():
+    # every ternary bracketing with at most 5 leaves over 2 letters
+    elems = [e for n in range(1, 6) for e in _all_m3(list(A2.gens), n)]
+    assert len(elems) == 106
+    assert is_total_order(lambda s, t: hall_cmp(s, t, cmp_gen), elems)
 
 
 def test_is_hall_binary():

@@ -9,8 +9,9 @@ from fixtures import (B5_COMPUTED_POSITIONS, B_LISTING, S5_COMPUTED_POSITIONS,
 from plyalg.bases import (cmp_hall_t, cmp_t, enumerate_S, enumerate_Shat,
                           enumerate_T, from_shat, phi, t_value)
 from plyalg.exprs import parse_algebra
+from plyalg.hall import hall_cmp, leaf, node2
 from plyalg.normal import enumerate_B
-from plyalg.orders import (cmp_delta, cmp_hall_words, cmp_shat, is_total_order)
+from plyalg.orders import cmp_delta, cmp_shat, is_total_order
 from plyalg.terms import Alphabet, brk, ograft, osbb_word
 
 A = Alphabet.of_size(2)
@@ -24,9 +25,11 @@ def cmp_gen(x, y):
 
 
 def test_hall_word_order():
-    assert cmp_hall_words((a, b), (a,), cmp_gen) > 0
-    assert cmp_hall_words((a, b), (a, a), cmp_gen) > 0
-    assert cmp_hall_words((a, b), (a, b), cmp_gen) == 0
+    # foliage words: longer words are larger, ties broken letterwise
+    ab = node2(leaf(a), leaf(b))
+    assert hall_cmp(ab, leaf(a), cmp_gen) > 0
+    assert hall_cmp(ab, node2(leaf(a), leaf(a)), cmp_gen) > 0
+    assert hall_cmp(ab, node2(leaf(a), leaf(b)), cmp_gen) == 0
 
 
 def test_delta_symmetric_length_clause():
