@@ -14,7 +14,7 @@ import sys
 from .bases import (cmp_t, enumerate_Bhat, enumerate_S, enumerate_Shat,
                     enumerate_T, phi_inv_lin, phi_lin, shat_to_t, to_shat)
 from .exprs import (ElabError, ParseError, lincomb_json, parse_algebra,
-                    parse_tensor, render_lincomb, render_term)
+                    parse_tensor, render_lincomb, render_term, render_word)
 from .normal import (DEFAULT_FUEL, FuelExhausted, InternalRewriteError,
                      OrderConflictError, enumerate_B, enumerate_B_lat, normalize)
 from .orders import cmp_shat
@@ -196,6 +196,8 @@ def run(argv):
         return 0
 
     if args.cmd == "dims":
+        if args.max_n < 1:
+            raise UsageError("--max-n must be at least 1, got %d" % args.max_n)
         alphabet = _alphabet(args.gens)
         dims = [len(_enumerate(args.basis, n, alphabet))
                 for n in range(1, args.max_n + 1)]
@@ -209,14 +211,14 @@ def run(argv):
         dec = decompose(shat_words, cmp_shat)
         items = sorted(dec.items(), key=lambda tc: word_key(tc[0]))
         if args.json:
-            print(json.dumps({"terms": [{"coeff": str(c), "expr": _render_word(w)}
+            print(json.dumps({"terms": [{"coeff": str(c), "expr": render_word(w, tuple)}
                                         for w, c in items]}, sort_keys=True))
         else:
             if not items:
                 print("0")
             else:
-                print(" + ".join(_render_word(w) if c == 1
-                                 else "%s * %s" % (c, _render_word(w))
+                print(" + ".join(render_word(w, tuple) if c == 1
+                                 else "%s * %s" % (c, render_word(w, tuple))
                                  for w, c in items))
         return 0
 
@@ -254,19 +256,6 @@ def run(argv):
         return 0 if passed else 3
 
     raise UsageError("unknown command")
-
-
-def _render_word(w):
-    items = []
-    for b in w.blocks:
-        if b.sym:
-            items.append("s(%s)" % ", ".join(render_term(l) for l in b.sym))
-        items.append("lb(%s, %s)" % (render_term(b.y), render_term(b.z)))
-    if w.tail:
-        items.append("s(%s)" % ", ".join(render_term(l) for l in w.tail))
-    if not items:
-        return "w()"
-    return "w(%s)" % ", ".join(items)
 
 
 def main(argv=None):

@@ -323,16 +323,7 @@ def render_term(t):
             letters = _sorted_desc_s(w.tail)
             return "sg(%s; %s)" % (", ".join(render_term(l) for l in letters),
                                    render_term(t.root))
-        items = []
-        for b in w.blocks:
-            if b.sym:
-                items.append("s(%s)" % ", ".join(
-                    render_term(l) for l in _sorted_desc_s(b.sym)))
-            items.append("lb(%s, %s)" % (render_term(b.y), render_term(b.z)))
-        if w.tail:
-            items.append("s(%s)" % ", ".join(
-                render_term(l) for l in _sorted_desc_s(w.tail)))
-        return "tri(w(%s), %s)" % (", ".join(items), render_term(t.root))
+        return "tri(%s, %s)" % (render_word(w, _sorted_desc_s), render_term(t.root))
     if t.kind == SYMGRAFT:
         letters = _sorted_desc_t(t.sym)
         return "sg(%s; %s)" % (", ".join(render_term(l) for l in letters),
@@ -343,6 +334,19 @@ def render_term(t):
         return core
     letters = _sorted_desc_t(t.sym)
     return "tri(s(%s), %s)" % (", ".join(render_term(l) for l in letters), core)
+
+
+def render_word(w, order):
+    """An OSBB word as ``w(...)`` of ``s(...)`` and ``lb(y, z)`` items, the
+    letters of each multiset in the sequence ``order(letters)`` gives."""
+    items = []
+    for b in w.blocks:
+        if b.sym:
+            items.append("s(%s)" % ", ".join(render_term(l) for l in order(b.sym)))
+        items.append("lb(%s, %s)" % (render_term(b.y), render_term(b.z)))
+    if w.tail:
+        items.append("s(%s)" % ", ".join(render_term(l) for l in order(w.tail)))
+    return "w(%s)" % ", ".join(items)
 
 
 def _term_sort_key(order):

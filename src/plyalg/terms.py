@@ -1,9 +1,12 @@
 """Interned term nodes and exact linear combinations.
 
-Every node is hash-consed: structurally equal terms are the same Python
-object, so equality is identity, hashes are precomputed, and per-term memo
-tables stay cheap. Vertex count ``vc`` and bracket count ``bc`` are stored
-on the node at construction.
+Every node is hash-consed: all eight constructors go through one interning
+function, ``_intern``, so structurally equal terms, blocks and words are the
+same Python object. Equality is therefore identity, and nodes hash by
+identity (the object defaults), which keeps dict lookups and per-term memo
+tables cheap. ``_intern`` fills the slots from the lookup key and derives
+the vertex count ``vc`` and bracket count ``bc`` (and a word's ``length``)
+from the children once, at construction.
 
 Node kinds
     Gen        generator (every basis)
@@ -26,18 +29,9 @@ from operator import mul
 
 GEN, BRK, GRAFT, OGRAFT, SYMGRAFT, TRIPLE = range(6)
 
-_KIND_NAMES = {GEN: "Gen", BRK: "Brk", GRAFT: "Graft", OGRAFT: "OGraft",
-               SYMGRAFT: "SymGraft", TRIPLE: "Triple"}
-
 
 class Term:
-    __slots__ = ("kind", "vc", "bc", "_hash", "_ckey")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
+    __slots__ = ("vc", "bc", "_ckey")
 
     def __repr__(self):
         from .exprs import render_term
@@ -46,37 +40,37 @@ class Term:
 
 class Gen(Term):
     __slots__ = ("name", "index")
+    kind = GEN
 
 
 class Brk(Term):
     __slots__ = ("x", "y")
+    kind = BRK
 
 
 class Graft(Term):
     __slots__ = ("branches", "root")
+    kind = GRAFT
 
 
 class OGraft(Term):
     __slots__ = ("word", "root")
+    kind = OGRAFT
 
 
 class SymGraft(Term):
     __slots__ = ("sym", "root")
+    kind = SYMGRAFT
 
 
 class Triple(Term):
     __slots__ = ("sym", "y", "z", "w")
+    kind = TRIPLE
 
 
 class Block:
     """One ordered symmetric-bracket block: s(sym) · [y, z]."""
-    __slots__ = ("sym", "y", "z", "_hash")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
+    __slots__ = ("sym", "y", "z")
 
     def __repr__(self):
         return "Block(%r, %r, %r)" % (self.sym, self.y, self.z)
@@ -88,13 +82,7 @@ class Block:
 
 class OsbbWord:
     """Bracket blocks followed by a final symmetric multiset (may be empty)."""
-    __slots__ = ("blocks", "tail", "length", "vc", "bc", "_hash")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
+    __slots__ = ("blocks", "tail", "length", "vc", "bc")
 
     def __repr__(self):
         return "OsbbWord(%r, %r)" % (self.blocks, self.tail)
@@ -118,124 +106,67 @@ _GEN, _BRK, _GRAFT, _OGRAFT, _SYM, _TRI = {}, {}, {}, {}, {}, {}
 _BLOCK, _WORD = {}, {}
 
 
+def _intern(table, cls, *key):
+    """The one node of ``cls`` whose leading slots hold ``key``, built on
+    first use. A term's or word's counts are summed over its children (the
+    letters of a word), plus one vertex for a generator and one bracket for
+    a bracket."""
+    node = table.get(key)
+    if node is None:
+        node = table[key] = cls()
+        for slot, part in zip(cls.__slots__, key):
+            setattr(node, slot, part)
+        if cls is Block:
+            return node
+        if cls is OsbbWord:
+            kids = node.letters()
+            node.length = len(kids)
+        else:
+            kids = [c for _, c in subterms(node)]
+            node._ckey = None
+        node.vc = (cls is Gen) + sum(c.vc for c in kids)
+        node.bc = (cls is Brk) + sum(c.bc for c in kids)
+    return node
+
+
 def gen(name, index):
-    key = (name, index)
-    t = _GEN.get(key)
-    if t is None:
-        t = Gen()
-        t.kind, t.name, t.index = GEN, name, index
-        t.vc, t.bc = 1, 0
-        t._hash = hash(("g", name, index))
-        t._ckey = None
-        _GEN[key] = t
-    return t
+    return _intern(_GEN, Gen, name, index)
 
 
 def brk(x, y):
-    key = (x, y)
-    t = _BRK.get(key)
-    if t is None:
-        t = Brk()
-        t.kind, t.x, t.y = BRK, x, y
-        t.vc = x.vc + y.vc
-        t.bc = 1 + x.bc + y.bc
-        t._hash = hash(("b", x, y))
-        t._ckey = None
-        _BRK[key] = t
-    return t
+    return _intern(_BRK, Brk, x, y)
 
 
 def graft(branches, root):
     branches = tuple(branches)
     assert branches, "graft needs at least one branch"
     assert root.kind in (GEN, BRK), "graft root must be a generator or bracket"
-    key = (branches, root)
-    t = _GRAFT.get(key)
-    if t is None:
-        t = Graft()
-        t.kind, t.branches, t.root = GRAFT, branches, root
-        t.vc = sum(b.vc for b in branches) + root.vc
-        t.bc = sum(b.bc for b in branches) + root.bc
-        t._hash = hash(("t", branches, root))
-        t._ckey = None
-        _GRAFT[key] = t
-    return t
+    return _intern(_GRAFT, Graft, branches, root)
 
 
 def block(sym, y, z):
-    sym = tuple(sorted(sym, key=canon_key))
-    key = (sym, y, z)
-    b = _BLOCK.get(key)
-    if b is None:
-        b = Block()
-        b.sym, b.y, b.z = sym, y, z
-        b._hash = hash(("blk", sym, y, z))
-        _BLOCK[key] = b
-    return b
+    return _intern(_BLOCK, Block, tuple(sorted(sym, key=canon_key)), y, z)
 
 
 def osbb_word(blocks, tail):
-    blocks = tuple(blocks)
-    tail = tuple(sorted(tail, key=canon_key))
-    key = (blocks, tail)
-    w = _WORD.get(key)
-    if w is None:
-        w = OsbbWord()
-        w.blocks, w.tail = blocks, tail
-        w.length = sum(b.length for b in blocks) + len(tail)
-        w.vc = sum(t.vc for t in w.letters())
-        w.bc = sum(t.bc for t in w.letters())
-        w._hash = hash(("w", blocks, tail))
-        _WORD[key] = w
-    return w
+    return _intern(_WORD, OsbbWord, tuple(blocks), tuple(sorted(tail, key=canon_key)))
 
 
 def ograft(word, root):
     assert word.length > 0, "ograft word must be nonempty"
     assert root.kind in (GEN, BRK), "ograft root must be a generator or bracket"
-    key = (word, root)
-    t = _OGRAFT.get(key)
-    if t is None:
-        t = OGraft()
-        t.kind, t.word, t.root = OGRAFT, word, root
-        t.vc = word.vc + root.vc
-        t.bc = word.bc + root.bc
-        t._hash = hash(("o", word, root))
-        t._ckey = None
-        _OGRAFT[key] = t
-    return t
+    return _intern(_OGRAFT, OGraft, word, root)
 
 
 def symgraft(sym, root):
     sym = tuple(sorted(sym, key=canon_key))
     assert sym, "symgraft needs at least one branch"
     assert root.kind in (GEN, BRK), "symgraft root must be a generator or bracket"
-    key = (sym, root)
-    t = _SYM.get(key)
-    if t is None:
-        t = SymGraft()
-        t.kind, t.sym, t.root = SYMGRAFT, sym, root
-        t.vc = sum(b.vc for b in sym) + root.vc
-        t.bc = sum(b.bc for b in sym) + root.bc
-        t._hash = hash(("s", sym, root))
-        t._ckey = None
-        _SYM[key] = t
-    return t
+    return _intern(_SYM, SymGraft, sym, root)
 
 
 def triple(sym, y, z, w):
-    sym = tuple(sorted(sym, key=canon_key))
-    key = (sym, y, z, w)
-    t = _TRI.get(key)
-    if t is None:
-        t = Triple()
-        t.kind, t.sym, t.y, t.z, t.w = TRIPLE, sym, y, z, w
-        t.vc = sum(b.vc for b in sym) + y.vc + z.vc + w.vc
-        t.bc = sum(b.bc for b in sym) + y.bc + z.bc + w.bc
-        t._hash = hash(("tr", sym, y, z, w))
-        t._ckey = None
-        _TRI[key] = t
-    return t
+    return _intern(_TRI, Triple, tuple(sorted(sym, key=canon_key)), y, z, w)
 
 
 def canon_key(t):
@@ -302,16 +233,9 @@ def subterms(t):
             + (("y", t.y), ("z", t.z), ("w", t.w)))
 
 
-_HAS_BRK = {}
-
-
 def has_bracket(t):
     """True if any Brk node occurs anywhere in the term."""
-    v = _HAS_BRK.get(t)
-    if v is None:
-        v = t.kind == BRK or any(has_bracket(c) for _, c in subterms(t))
-        _HAS_BRK[t] = v
-    return v
+    return t.bc > 0
 
 
 class Alphabet:
@@ -367,14 +291,10 @@ class LinComb:
 
     @classmethod
     def from_pairs(cls, pairs):
-        out = {}
+        out = cls()
         for t, c in pairs:
-            nc = out.get(t, ZERO) + c
-            if nc == 0:
-                out.pop(t, None)
-            else:
-                out[t] = nc
-        return cls(out)
+            out.add_in(cls.of(t), c)
+        return out
 
     def __bool__(self):
         return bool(self.terms)
@@ -398,27 +318,13 @@ class LinComb:
         return self.terms.get(term, ZERO)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            nc = out.get(t, ZERO) + c
-            if nc == 0:
-                out.pop(t, None)
-            else:
-                out[t] = nc
-        return LinComb(out)
+        return LinComb(dict(self.terms)).add_in(other)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            nc = out.get(t, ZERO) - c
-            if nc == 0:
-                out.pop(t, None)
-            else:
-                out[t] = nc
-        return LinComb(out)
+        return LinComb(dict(self.terms)).add_in(other, -1)
 
     def __neg__(self):
-        return LinComb({t: -c for t, c in self.terms.items()})
+        return LinComb().add_in(self, -1)
 
     def scale(self, k):
         k = Fraction(k)
@@ -430,14 +336,19 @@ class LinComb:
     __rmul__ = scale
 
     def add_in(self, other, k=ONE):
-        """In-place accumulate k*other (builder use only)."""
+        """In-place accumulate k*other (builder use only); the one
+        accumulate loop of every sum, difference and negation."""
         out = self.terms
         for t, c in other.terms.items():
-            nc = out.get(t, ZERO) + c * k
-            if nc == 0:
+            if k is not ONE:
+                c = c * k
+            nc = out.get(t)
+            if nc is not None:
+                c = nc + c
+            if c == 0:
                 out.pop(t, None)
             else:
-                out[t] = nc
+                out[t] = c
         return self
 
     def map_terms(self, f):

@@ -92,7 +92,9 @@ def test_usage_error_exit_1(capsys):
     ("dims", "--basis", "T", "--max-n", "2", "--gens", "27"),
     ("normalize", "a", "--gens", "a,a"),
     ("check", "--suite", "osbb-roundtrip", "--gens", "0"),
-], ids=["n-0", "n-negative", "gens-0", "gens-27", "gens-repeated", "check-gens-0"])
+    ("dims", "--basis", "B", "--max-n", "0"),
+], ids=["n-0", "n-negative", "gens-0", "gens-27", "gens-repeated", "check-gens-0",
+        "max-n-0"])
 def test_bad_sizes_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out

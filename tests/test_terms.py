@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from plyalg.terms import (Alphabet, LinComb, bracket_count, brk, gen, graft,
-                          vertex_count)
+from plyalg.terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, Alphabet, LinComb,
+                          OsbbWord, block, bracket_count, brk, gen, graft,
+                          has_bracket, osbb_word, symgraft, triple, vertex_count)
 from plyalg.bases import enumerate_Bhat, enumerate_Shat, enumerate_T, phi_inv
 
 
@@ -55,6 +56,63 @@ def test_interning():
     assert graft((a,), a) is graft((a,), a)
     assert brk(a, b) is not brk(b, a)
     assert gen("a", 0) is a
+    blk = block((b, a), a, b)
+    assert blk is block([a, b], a, b)
+    assert blk is not block((a, b), b, a)
+    assert osbb_word((blk,), (b, a)) is osbb_word([blk], [a, b])
+    assert osbb_word((), ()) is not osbb_word((), (a,))
+    assert symgraft((a, brk(a, b)), b) is symgraft((brk(a, b), a), b)
+    assert triple((b, a), a, b, a) is triple((a, b), a, b, a)
+    assert triple((), a, b, a) is not triple((), b, a, a)
+
+
+def _children(t):
+    """The children of a term, or the letters of an OSBB word, read off the
+    node's fields."""
+    if isinstance(t, OsbbWord):
+        return [x for blk in t.blocks for x in (*blk.sym, blk.y, blk.z)] + list(t.tail)
+    if t.kind == GEN:
+        return []
+    if t.kind == BRK:
+        return [t.x, t.y]
+    if t.kind == GRAFT:
+        return [*t.branches, t.root]
+    if t.kind == OGRAFT:
+        return [t.word, t.root]
+    if t.kind == SYMGRAFT:
+        return [*t.sym, t.root]
+    return [*t.sym, t.y, t.z, t.w]
+
+
+def _counts(t):
+    """(vertices, brackets) of a term or OSBB word, counted recursively."""
+    if not isinstance(t, OsbbWord) and t.kind == GEN:
+        return 1, 0
+    kids = [_counts(c) for c in _children(t)]
+    brackets = sum(k[1] for k in kids)
+    if not isinstance(t, OsbbWord) and t.kind == BRK:
+        brackets += 1
+    return sum(k[0] for k in kids), brackets
+
+
+def test_derived_counts(A2):
+    seen, todo = set(), []
+    for n in range(1, 5):
+        todo += enumerate_Bhat(n, A2) + enumerate_Shat(n, A2) + enumerate_T(n, A2)
+    words = 0
+    while todo:
+        t = todo.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        todo += _children(t)
+        assert (t.vc, t.bc) == _counts(t), t
+        if isinstance(t, OsbbWord):
+            words += 1
+            assert t.length == sum(len(blk.sym) + 2 for blk in t.blocks) + len(t.tail)
+        else:
+            assert has_bracket(t) == (_counts(t)[1] > 0)
+    assert words > 0
 
 
 def test_graft_requires_branches():
