@@ -80,7 +80,7 @@ def _trace_hash(x):
 
 def _write_trace(path, trace):
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "trace", "steps": len(trace.steps),
+        fh.write(json.dumps({"kind": "trace", "format": 2, "steps": len(trace.steps),
                              "input_hash": _trace_hash(trace.input),
                              "output_hash": _trace_hash(trace.output)},
                             sort_keys=True) + "\n")
@@ -91,7 +91,6 @@ def _write_trace(path, trace):
                    "bindings": {k: (render_term(v) if not isinstance(v, tuple)
                                     else [render_term(u) for u in v])
                                 for k, v in s.bindings},
-                   "before_hash": _trace_hash(s.before),
                    "after_hash": _trace_hash(s.after)}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 

@@ -180,23 +180,18 @@ def _step(t, cmpl):
 
 def lts_hall_rewrite(x, cmpl, fuel=10 ** 6):
     """Rewrite a combination of ternary bracketings into Hall elements."""
-    work = x if isinstance(x, LinComb) else LinComb.of(x)
+    work = LinComb(dict(x.terms)) if isinstance(x, LinComb) else LinComb.of(x)
     while True:
-        victim = None
         for t in work:
             path = _find_non_hall(t, cmpl)
             if path is not None:
-                victim = (t, path)
                 break
-        if victim is None:
+        else:
             return work
         if fuel <= 0:
             raise RewriteStuck("fuel exhausted before reaching Hall form")
         fuel -= 1
-        t, path = victim
         node = t
         for slot in path:
             node = getattr(node, slot)
-        repl = _step(node, cmpl)
-        c = work.coeff(t)
-        work = work - LinComb.of(t, c) + _subst3(t, path, repl).scale(c)
+        work.add_in(_subst3(t, path, _step(node, cmpl)), work.terms.pop(t))

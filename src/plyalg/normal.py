@@ -14,7 +14,10 @@ subterm, and applies the lowest-numbered applicable rule:
   PLY5        move a large bracket second-component out of a triple-bracket
 
 Each rule application is one trace step whose replacement is a deterministic
-function of the redex, so traces can be checked by recomputation.
+function of the redex, so traces can be checked by recomputation. A step
+keeps the term's one-step image, not the working set, which ``check_trace``
+rebuilds by replay. ``plyalg normalize --trace FILE`` writes format 2: a
+header with ``"format": 2``, then per step an ``after_hash`` of that image.
 """
 from __future__ import annotations
 
@@ -52,12 +55,14 @@ class FuelExhausted(Exception):
 
 @dataclass(frozen=True)
 class RewriteStep:
+    """``term``, with coefficient c, leaves the working set and c times
+    ``after`` comes in: its one-step image ``subst(term, path, repl)``,
+    hashed as ``after_hash`` in the trace file (format 2)."""
     rule: str
     term: object          # the working term that was rewritten
     path: tuple           # position of the redex inside it
     bindings: tuple       # ((name, value), ...) for reporting
-    before: LinComb
-    after: LinComb
+    after: LinComb        # the one-step image of ``term``
 
 
 @dataclass(frozen=True)
@@ -334,9 +339,13 @@ def find_redex(t):
 
 
 def subterm_at(t, path):
+    """The subterm at ``path``; InternalRewriteError if there is none."""
+    s = t
     for slot in path:
-        t = dict(subterms(t))[slot]
-    return t
+        s = dict(subterms(s)).get(slot)
+        if s is None:
+            raise InternalRewriteError("no subterm at %r in %r" % (path, t))
+    return s
 
 
 def subst(t, path, repl):
@@ -357,8 +366,7 @@ def subst(t, path, repl):
         i = slot[1]
         return subst(t.sym[i], rest, repl).map_terms(
             lambda u: _of(symgraft(t.sym[:i] + (u,) + t.sym[i + 1:], t.root)))
-    if t.kind == TRIPLE:
-        assert not t.sym, "triples with symmetric parts are head redexes"
+    if t.kind == TRIPLE and not t.sym:  # a symmetric part makes a head redex
         if slot == "y":
             return triple_raw(subst(t.y, rest, repl), _of(t.z), _of(t.w))
         if slot == "z":
@@ -442,8 +450,8 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
     Returns (normal form, trace). Raises FuelExhausted with the partial
     state and trace if the step budget runs out.
     """
-    work = any_to_t(x)
-    start = work
+    start = any_to_t(x)
+    work = LinComb(dict(start.terms))
     steps = []
     rng = None
     if isinstance(strategy, int):
@@ -451,27 +459,26 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
         pick = _pick_seeded
     else:
         pick = _STRATEGIES[strategy]
-    budget = fuel
     while True:
         victims = [t for t in work if not is_B(t)]
         if not victims:
             break
-        if budget <= 0:
+        if fuel <= 0:
             raise FuelExhausted(work, RewriteTrace(start, work, tuple(steps)))
-        budget -= 1
+        fuel -= 1
         t = pick(victims, rng)
         path, s = find_redex(t)
         rule, bindings, repl = head_rewrite(s)
-        c = work.coeff(t)
-        after = (work - LinComb.of(t, c)) + subst(t, path, repl).scale(c)
-        steps.append(RewriteStep(rule, t, path, bindings, work, after))
-        work = after
+        image = subst(t, path, repl)
+        steps.append(RewriteStep(rule, t, path, bindings, image))
+        work.add_in(image, work.terms.pop(t))
     return work, RewriteTrace(start, work, tuple(steps))
 
 
 def check_trace(input_lc, output_lc, trace, explain=False):
-    """Replay a trace: every step's replacement is recomputed from the redex
-    and the chain must reproduce the output exactly."""
+    """Replay a trace: every step's rule and one-step image are recomputed
+    from its term and path, and the image replaces the term in the working
+    set, which must end equal to the output."""
 
     def fail(msg):
         if explain:
@@ -482,22 +489,19 @@ def check_trace(input_lc, output_lc, trace, explain=False):
     if trace.input != cur:
         return fail("trace input does not match")
     for i, step in enumerate(trace.steps):
-        if step.before != cur:
-            return fail("step %d: before-state mismatch" % i)
-        c = cur.coeff(step.term)
-        if c == 0:
+        c = cur.terms.pop(step.term, None)
+        if c is None:
             return fail("step %d: rewritten term not present" % i)
-        s = subterm_at(step.term, step.path)
         try:
-            rule, _, repl = head_rewrite(s)
+            rule, _, repl = head_rewrite(subterm_at(step.term, step.path))
+            image = subst(step.term, step.path, repl)
         except (InternalRewriteError, OrderConflictError) as e:
             return fail("step %d: %s" % (i, e))
         if rule != step.rule:
             return fail("step %d: rule mismatch (%s vs %s)" % (i, rule, step.rule))
-        after = (cur - LinComb.of(step.term, c)) + subst(step.term, step.path, repl).scale(c)
-        if after != step.after:
-            return fail("step %d: replayed state mismatch" % i)
-        cur = after
+        if image != step.after:
+            return fail("step %d: replayed image mismatch" % i)
+        cur.add_in(image, c)
     if cur != trace.output or cur != output_lc:
         return fail("trace output does not match")
     if any(not is_B(t) for t in cur):

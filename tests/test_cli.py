@@ -45,7 +45,11 @@ def test_normalize_trace(tmp_path, capsys):
     assert code == 0
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["kind"] == "trace" and lines[0]["steps"] == len(lines) - 1
-    assert all("rule" in rec for rec in lines[1:])
+    assert lines[0]["format"] == 2
+    assert all("rule" in rec and "after_hash" in rec and "before_hash" not in rec
+               for rec in lines[1:])
+    # the one step's image is the whole normal form here
+    assert lines[1]["after_hash"] == lines[0]["output_hash"]
 
 
 def test_enum(capsys):

@@ -1,16 +1,20 @@
 """Byte-identical outputs: the first 16 hex digits of the sha256 of the
-stdout of fixed `plyalg check` suites at the default seed, and of the Hall
-normal forms of every ternary bracketing of a fixed size. A change that
-alters normal forms or report text on purpose updates these digests and
-says why."""
+stdout of fixed `plyalg check` suites at the default seed, of the Hall
+normal forms of every ternary bracketing of a fixed size, and of the
+normalizer's step sequence on the residuals of one suite. A change that
+alters normal forms, report text or the steps taken on purpose updates
+these digests and says why."""
 import hashlib
 import itertools
 
 import pytest
 
 from plyalg.cli import main
+from plyalg.exprs import render_term
 from plyalg.hall import leaf, lts_hall_rewrite, node3
+from plyalg.normal import normalize
 from plyalg.orders import cmp_gen
+from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
 from plyalg.terms import Alphabet, LinComb
 
 GOLDEN = {
@@ -61,3 +65,16 @@ def test_hall_normal_form_digest(leaves, k, count, digest):
             lines.append("%r -> %s\n" % (t, " + ".join("%s * %r" % (c, u) for u, c in out)))
     assert len(lines) == count
     assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == digest
+
+
+def test_trace_step_digest():
+    # (rule, rewritten term, redex path) of every step in the traces of the
+    # residuals behind the "ply-axioms-6" report: pins the step sequence
+    lines = []
+    for rule, arity in sorted(RELATION_ARITY.items()):
+        for args in sample_basis_tuples(arity, 6, 500, 0, Alphabet.of_size(1)):
+            _, trace = normalize(relation_residual(rule, args))
+            lines.extend("%s %s %r\n" % (s.rule, render_term(s.term), s.path)
+                         for s in trace.steps)
+    assert len(lines) == 1198
+    assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == "e4e616971a046cbc"

@@ -2,17 +2,20 @@
 defining relations, trace soundness, strategy independence, and the
 projection onto the bracket-free quotient."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from plyalg import hall
 from plyalg.bases import any_to_t, cmp_hall_t, enumerate_Bhat
-from plyalg.normal import (FuelExhausted, check_trace, enumerate_B,
-                           enumerate_B_lat, graded_dim, is_B, is_lts_hall_t,
-                           lat_project, normalize)
+from plyalg.normal import (FuelExhausted, RewriteStep, RewriteTrace, check_trace,
+                           enumerate_B, enumerate_B_lat, graded_dim, is_B,
+                           is_lts_hall_t, lat_project, normalize)
+from plyalg.orders import cmp_gen
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
 from plyalg.tensor import tree_brk, tree_mul, triple_bracket
-from plyalg.terms import Alphabet, LinComb, brk, graft, has_bracket
+from plyalg.terms import Alphabet, LinComb, brk, graft, has_bracket, triple
 
 A1 = Alphabet.of_size(1)
 A2 = Alphabet.of_size(2)
@@ -118,22 +121,81 @@ def test_fuel_exhaustion():
     assert out == LinComb.of(brk(g2_t(), a), Fraction(-1))
 
 
+def _retrace(trace, steps):
+    return RewriteTrace(trace.input, trace.output, tuple(steps))
+
+
 def test_trace_tampering_detected():
     x = LinComb.of(brk(a, g2))
     out, trace = normalize(x)
     assert check_trace(x, out, trace)
     assert not check_trace(x, out + LinComb.of(a), trace)
-    bad_steps = trace.steps[:-1]
-    from plyalg.normal import RewriteTrace
-    assert not check_trace(x, out, RewriteTrace(trace.input, out, bad_steps))
-    # a tampered coefficient inside a step breaks replay
-    if trace.steps:
+    assert not check_trace(x, out, _retrace(trace, trace.steps[:-1]))
+    # a tampered coefficient inside a step's image breaks replay
+    s0 = trace.steps[0]
+    tampered = RewriteStep(s0.rule, s0.term, s0.path, s0.bindings,
+                           s0.after.scale(Fraction(2)))
+    assert not check_trace(x, out, _retrace(trace, (tampered,) + trace.steps[1:]))
+
+
+def test_trace_bad_path_rejected():
+    # a path that leaves the term, or ends where no image can be put back,
+    # is a failed check, not an exception
+    x = LinComb.of(brk(a, g2))
+    b2, c2 = A2.gens
+    y = LinComb.of(triple((brk(b2, c2),), b2, c2, b2))
+    for z, path, rule in ((x, ("zz",), None), (x, ("x", "x"), None),
+                          (y, (("s", 0),), "PLY1")):
+        out, trace = normalize(z)
         s0 = trace.steps[0]
-        from plyalg.normal import RewriteStep
-        tampered = RewriteStep(s0.rule, s0.term, s0.path, s0.bindings,
-                               s0.before, s0.after.scale(Fraction(2)))
-        assert not check_trace(x, out, RewriteTrace(trace.input, out,
-                                                    (tampered,) + trace.steps[1:]))
+        bad = _retrace(trace, (replace(s0, path=path, rule=rule or s0.rule),)
+                       + trace.steps[1:])
+        assert not check_trace(z, out, bad)
+        with pytest.raises(AssertionError, match="step 0"):
+            check_trace(z, out, bad, explain=True)
+
+
+def _ply4_trace():
+    x = relation_residual("PLY4", (g2_t(), a_t(), a_t()))
+    out, trace = normalize(x)
+    assert check_trace(x, out, trace, explain=True) and len(trace.steps) > 2
+    return x, out, trace
+
+
+def test_trace_renamed_rule_rejected():
+    x, out, trace = _ply4_trace()
+    s0 = trace.steps[0]
+    bad = replace(s0, rule="PLY6")
+    assert not check_trace(x, out, _retrace(trace, (bad,) + trace.steps[1:]))
+
+
+def test_trace_swapped_term_rejected():
+    x, out, trace = _ply4_trace()
+    s0 = trace.steps[0]
+    others = [t for t in trace.input if t is not s0.term and not is_B(t)]
+    assert others
+    for t in others:
+        bad = _retrace(trace, (replace(s0, term=t),) + trace.steps[1:])
+        with pytest.raises(AssertionError, match="step 0"):
+            check_trace(x, out, bad, explain=True)
+
+
+def test_trace_dropped_middle_row_rejected():
+    x, out, trace = _ply4_trace()
+    k = len(trace.steps) // 2
+    assert not check_trace(x, out, _retrace(trace, trace.steps[:k] + trace.steps[k + 1:]))
+
+
+def test_rewriting_leaves_input_unchanged():
+    x, _, trace = _ply4_trace()
+    x0 = LinComb(dict(x.terms))
+    normalize(x)
+    assert x == x0 and trace.input == any_to_t(x)
+    u, v = map(hall.leaf, A2.gens)
+    y = LinComb.of(hall.node3(u, v, u)) + LinComb.of(hall.node3(v, u, u), Fraction(2))
+    y0 = LinComb(dict(y.terms))
+    assert hall.lts_hall_rewrite(y, cmp_gen) != y0
+    assert y == y0
 
 
 def test_trace_rules_recorded():
