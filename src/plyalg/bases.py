@@ -14,7 +14,7 @@ import math
 from . import osbb
 from .orders import cmp_ints, cmp_shat, shat_key, sort_by
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, block,
-                    brk, canon_key, graft, multilinear, ograft, osbb_word,
+                    brk, canon_key, graft, memo, multilinear, ograft, osbb_word,
                     subterms, symgraft, triple)
 from .tensor import (symmetrize, tree_brk, triple_bracket, word_act_trees,
                      word_lincomb)
@@ -29,23 +29,18 @@ class BasisError(AssertionError):
 _TO_SHAT = {}
 
 
+@memo(_TO_SHAT)
 def to_shat_term(t):
-    out = _TO_SHAT.get(t)
-    if out is not None:
-        return out
     if t.kind == GEN:
-        out = LinComb.of(t)
-    elif t.kind == BRK:
-        out = tree_brk(to_shat_term(t.x), to_shat_term(t.y))
-    elif t.kind == GRAFT:
+        return LinComb.of(t)
+    if t.kind == BRK:
+        return tree_brk(to_shat_term(t.x), to_shat_term(t.y))
+    if t.kind == GRAFT:
         word = word_lincomb([to_shat_term(b) for b in t.branches])
         dec = osbb.decompose(word, cmp_shat)
-        out = multilinear(lambda w, r: LinComb.of(ograft(w, r)),
-                          dec, to_shat_term(t.root))
-    else:
-        raise BasisError("to_shat expects a tree-basis term, got %r" % t)
-    _TO_SHAT[t] = out
-    return out
+        return multilinear(lambda w, r: LinComb.of(ograft(w, r)),
+                           dec, to_shat_term(t.root))
+    raise BasisError("to_shat expects a tree-basis term, got %r" % t)
 
 
 def to_shat(x):
@@ -57,25 +52,20 @@ def to_shat(x):
 _FROM_SHAT = {}
 
 
+@memo(_FROM_SHAT)
 def from_shat_term(s):
-    out = _FROM_SHAT.get(s)
-    if out is not None:
-        return out
     if s.kind == GEN:
-        out = LinComb.of(s)
-    elif s.kind == BRK:
-        out = tree_brk(from_shat_term(s.x), from_shat_term(s.y))
-    elif s.kind == OGRAFT:
+        return LinComb.of(s)
+    if s.kind == BRK:
+        return tree_brk(from_shat_term(s.x), from_shat_term(s.y))
+    if s.kind == OGRAFT:
         root = from_shat_term(s.root)
         words = osbb.expand(s.word)
         branches = {w: word_lincomb([from_shat_term(l) for l in w]) for w in words}
-        out = multilinear(
+        return multilinear(
             lambda w, r: LinComb({graft(bw, r): c for bw, c in branches[w].items()}),
             words, root)
-    else:
-        raise BasisError("from_shat expects a block-basis term, got %r" % s)
-    _FROM_SHAT[s] = out
-    return out
+    raise BasisError("from_shat expects a block-basis term, got %r" % s)
 
 
 def from_shat(x):
@@ -89,11 +79,10 @@ def from_shat(x):
 _PHI, _PHI_INV = {}, {}
 
 
+@memo(_PHI)
 def phi(s):
-    """Basis bijection: block-basis element -> triple-basis element."""
-    t = _PHI.get(s)
-    if t is not None:
-        return t
+    """Basis bijection: block-basis element -> triple-basis element. Fills
+    the table of ``phi_inv`` too."""
     if s.kind == GEN:
         t = s
     elif s.kind == BRK:
@@ -109,16 +98,14 @@ def phi(s):
             t = triple(tuple(phi(x) for x in b0.sym), phi(b0.y), phi(b0.z), inner)
     else:
         raise BasisError("phi expects a block-basis term, got %r" % s)
-    _PHI[s] = t
     _PHI_INV[t] = s
     return t
 
 
+@memo(_PHI_INV)
 def phi_inv(t):
-    """Inverse of ``phi``: triple-basis element -> block-basis element."""
-    s = _PHI_INV.get(t)
-    if s is not None:
-        return s
+    """Inverse of ``phi``: triple-basis element -> block-basis element. Fills
+    the table of ``phi`` too."""
     if t.kind == GEN:
         s = t
     elif t.kind == BRK:
@@ -134,7 +121,6 @@ def phi_inv(t):
             s = ograft(osbb_word((b0,), ()), w)
     else:
         raise BasisError("phi_inv expects a triple-basis term, got %r" % t)
-    _PHI_INV[t] = s
     _PHI[s] = t
     return s
 
@@ -152,13 +138,11 @@ def phi_inv_lin(x):
 _CMP_T = {}
 
 
+@memo(_CMP_T)
 def t_key(t):
     """Sort key of a triple-basis element: the pullback of ``shat_key``
     along phi."""
-    k = _CMP_T.get(t)
-    if k is None:
-        k = _CMP_T[t] = shat_key(phi_inv(t))
-    return k
+    return shat_key(phi_inv(t))
 
 
 def cmp_t(x, y):
@@ -171,20 +155,18 @@ def cmp_t(x, y):
 _FOLIAGE = {}
 
 
+@memo(_FOLIAGE)
 def hall_t_key(t):
     """Hall sort key of a triple-basis element: its leaf word in the ternary
     magma over the non-triple elements (a bare triple-bracket splits,
     everything else is a single letter), length first and letters by
     ``t_key``; equal words fall back to ``t_key`` (total)."""
-    k = _FOLIAGE.get(t)
-    if k is None:
-        tk = t_key(t)
-        if t.kind == TRIPLE and not t.sym:
-            word = hall_t_key(t.y)[1] + hall_t_key(t.z)[1] + hall_t_key(t.w)[1]
-        else:
-            word = (tk,)
-        k = _FOLIAGE[t] = (len(word), word, tk)
-    return k
+    tk = t_key(t)
+    if t.kind == TRIPLE and not t.sym:
+        word = hall_t_key(t.y)[1] + hall_t_key(t.z)[1] + hall_t_key(t.w)[1]
+    else:
+        word = (tk,)
+    return (len(word), word, tk)
 
 
 def cmp_hall_t(x, y):
@@ -199,23 +181,19 @@ def cmp_hall_t(x, y):
 _T_VALUE = {}
 
 
+@memo(_T_VALUE)
 def t_value(t):
     """The tree-basis value of a triple-basis element."""
-    v = _T_VALUE.get(t)
-    if v is not None:
-        return v
     if t.kind == GEN:
-        v = LinComb.of(t)
-    elif t.kind == BRK:
-        v = tree_brk(t_value(t.x), t_value(t.y))
-    elif t.kind in (SYMGRAFT, TRIPLE):
-        v = (t_value(t.root) if t.kind == SYMGRAFT
-             else triple_bracket(t_value(t.y), t_value(t.z), t_value(t.w)))
-        if t.sym:
-            v = word_act_trees(symmetrize(word_lincomb([t_value(b) for b in t.sym])), v)
-    else:
+        return LinComb.of(t)
+    if t.kind == BRK:
+        return tree_brk(t_value(t.x), t_value(t.y))
+    if t.kind not in (SYMGRAFT, TRIPLE):
         raise BasisError("t_value expects a triple-basis term, got %r" % t)
-    _T_VALUE[t] = v
+    v = (t_value(t.root) if t.kind == SYMGRAFT
+         else triple_bracket(t_value(t.y), t_value(t.z), t_value(t.w)))
+    if t.sym:
+        v = word_act_trees(symmetrize(word_lincomb([t_value(b) for b in t.sym])), v)
     return v
 
 
@@ -226,11 +204,9 @@ def t_value_lin(x):
 _S2T = {}
 
 
+@memo(_S2T)
 def shat_elem_to_t(s):
     """Triple-basis coordinates of a block-basis element (triangular solve)."""
-    out = _S2T.get(s)
-    if out is not None:
-        return out
     t = phi(s)
     delta = to_shat(t_value(t)) - LinComb.of(s)
     for u in delta:
@@ -239,7 +215,6 @@ def shat_elem_to_t(s):
     out = LinComb.of(t)
     for u, c in delta.items():
         out.add_in(shat_elem_to_t(u), -c)
-    _S2T[s] = out
     return out
 
 
@@ -251,18 +226,15 @@ _FAMILY = {GRAFT: "bhat", OGRAFT: "shat", SYMGRAFT: "t", TRIPLE: "t"}
 _BASIS = {}
 
 
+@memo(_BASIS)
 def term_basis(t):
     """Which basis family a term belongs to, by its node kinds."""
-    b = _BASIS.get(t)
-    if b is None:
-        families = {_FAMILY.get(t.kind, "plain")}
-        families.update(term_basis(c) for _, c in subterms(t))
-        families.discard("plain")
-        if len(families) > 1:
-            raise BasisError("term mixes basis families: %r" % t)
-        b = families.pop() if families else "plain"
-        _BASIS[t] = b
-    return b
+    families = {_FAMILY.get(t.kind, "plain")}
+    families.update(term_basis(c) for _, c in subterms(t))
+    families.discard("plain")
+    if len(families) > 1:
+        raise BasisError("term mixes basis families: %r" % t)
+    return families.pop() if families else "plain"
 
 
 def any_to_t(x):
@@ -350,84 +322,62 @@ def _sequences_with_vc(m, pool):
 _S_GRADE, _SHAT_GRADE, _BHAT_GRADE = {}, {}, {}
 
 
+@memo(_S_GRADE)
 def enumerate_S(n, alphabet):
     """One-operator basis elements with n vertices, in increasing order."""
     assert n >= 1
-    key = (n, alphabet.key())
-    out = _S_GRADE.get(key)
-    if out is not None:
-        return out
     if n == 1:
-        out = tuple(alphabet.gens)
-    else:
-        pool = [t for k in range(1, n) for t in enumerate_S(k, alphabet)]
-        items = []
-        for ms in _multisets_with_vc(n - 1, pool):
-            for w in osbb.words_for_multiset(ms, cmp_shat):
-                for c in alphabet.gens:
-                    items.append(ograft(w, c))
-        out = tuple(sort_by(items, shat_key))
-    _S_GRADE[key] = out
-    return out
+        return tuple(alphabet.gens)
+    pool = [t for k in range(1, n) for t in enumerate_S(k, alphabet)]
+    items = []
+    for ms in _multisets_with_vc(n - 1, pool):
+        for w in osbb.words_for_multiset(ms, cmp_shat):
+            for c in alphabet.gens:
+                items.append(ograft(w, c))
+    return tuple(sort_by(items, shat_key))
 
 
+@memo(_SHAT_GRADE)
 def enumerate_Shat(n, alphabet):
     """Two-operator block-basis elements with n vertices, in increasing order."""
     assert n >= 1
-    key = (n, alphabet.key())
-    out = _SHAT_GRADE.get(key)
-    if out is not None:
-        return out
     if n == 1:
-        out = tuple(alphabet.gens)
-    else:
-        items = []
-        for i in range(1, n):
-            for x in enumerate_Shat(i, alphabet):
-                for y in enumerate_Shat(n - i, alphabet):
-                    items.append(brk(x, y))
-        pool = [t for k in range(1, n) for t in enumerate_Shat(k, alphabet)]
-        for rvc in range(1, n):
-            roots = (alphabet.gens if rvc == 1 else
-                     [t for t in enumerate_Shat(rvc, alphabet) if t.kind == BRK])
-            if not roots:
-                continue
-            for ms in _multisets_with_vc(n - rvc, pool):
-                for w in osbb.words_for_multiset(ms, cmp_shat):
-                    for r in roots:
-                        items.append(ograft(w, r))
-        out = tuple(sort_by(items, shat_key))
-    _SHAT_GRADE[key] = out
-    return out
+        return tuple(alphabet.gens)
+    items = []
+    for i in range(1, n):
+        for x in enumerate_Shat(i, alphabet):
+            for y in enumerate_Shat(n - i, alphabet):
+                items.append(brk(x, y))
+    pool = [t for k in range(1, n) for t in enumerate_Shat(k, alphabet)]
+    for rvc in range(1, n):
+        roots = (alphabet.gens if rvc == 1 else
+                 [t for t in enumerate_Shat(rvc, alphabet) if t.kind == BRK])
+        for ms in _multisets_with_vc(n - rvc, pool):
+            for w in osbb.words_for_multiset(ms, cmp_shat):
+                for r in roots:
+                    items.append(ograft(w, r))
+    return tuple(sort_by(items, shat_key))
 
 
+@memo(_BHAT_GRADE)
 def enumerate_Bhat(n, alphabet):
     """Two-operator tree-basis elements with n vertices (canonical order)."""
     assert n >= 1
-    key = (n, alphabet.key())
-    out = _BHAT_GRADE.get(key)
-    if out is not None:
-        return out
     if n == 1:
-        out = tuple(alphabet.gens)
-    else:
-        items = []
-        for i in range(1, n):
-            for x in enumerate_Bhat(i, alphabet):
-                for y in enumerate_Bhat(n - i, alphabet):
-                    items.append(brk(x, y))
-        pool = [t for k in range(1, n) for t in enumerate_Bhat(k, alphabet)]
-        for rvc in range(1, n):
-            roots = (alphabet.gens if rvc == 1 else
-                     [t for t in enumerate_Bhat(rvc, alphabet) if t.kind == BRK])
-            if not roots:
-                continue
-            for seq in _sequences_with_vc(n - rvc, pool):
-                for r in roots:
-                    items.append(graft(seq, r))
-        out = tuple(sorted(items, key=canon_key))
-    _BHAT_GRADE[key] = out
-    return out
+        return tuple(alphabet.gens)
+    items = []
+    for i in range(1, n):
+        for x in enumerate_Bhat(i, alphabet):
+            for y in enumerate_Bhat(n - i, alphabet):
+                items.append(brk(x, y))
+    pool = [t for k in range(1, n) for t in enumerate_Bhat(k, alphabet)]
+    for rvc in range(1, n):
+        roots = (alphabet.gens if rvc == 1 else
+                 [t for t in enumerate_Bhat(rvc, alphabet) if t.kind == BRK])
+        for seq in _sequences_with_vc(n - rvc, pool):
+            for r in roots:
+                items.append(graft(seq, r))
+    return tuple(sorted(items, key=canon_key))
 
 
 def enumerate_T(n, alphabet):

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage/parse/elaboration error, 2 rewriting fuel
-exhausted, 3 a check suite failed, 4 the rewriting rules met a term they
-cannot order or rewrite (a known defect of the engine, not of the input).
+Exit codes: 0 success, 1 usage/parse/elaboration error or an unwritable
+trace file, 2 rewriting fuel exhausted, 3 a check suite failed, 4 the
+rewriting rules met a term they cannot order or rewrite (a known defect of
+the engine, not of the input).
 """
 from __future__ import annotations
 
@@ -26,6 +27,10 @@ from .yamaguti import ly_triple
 
 
 class UsageError(Exception):
+    pass
+
+
+class TraceFileError(Exception):
     pass
 
 
@@ -175,7 +180,11 @@ def run(argv):
         alphabet = _alphabet(args.gens) or _infer_alphabet([args.expr])
         nf, trace = normalize(parse_algebra(args.expr, alphabet), fuel=args.fuel)
         if args.trace:
-            _write_trace(args.trace, trace)
+            try:
+                _write_trace(args.trace, trace)
+            except OSError as e:
+                raise TraceFileError("cannot write trace %s: %s"
+                                     % (args.trace, e.strerror or e)) from None
         _emit_lincomb(nf, args.json, order=cmp_t)
         return 0
 
@@ -264,7 +273,7 @@ def main(argv=None):
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 1
-    except (ParseError, ElabError) as e:
+    except (ParseError, ElabError, TraceFileError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except FuelExhausted as e:

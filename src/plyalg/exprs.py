@@ -123,7 +123,10 @@ class Parser:
             num = int(self.next()[1])
             if self.peek()[0] == "/":
                 self.next()
-                den = int(self.expect("int")[1])
+                tok = self.expect("int")
+                den = int(tok[1])
+                if den == 0:
+                    raise ParseError("zero denominator", tok[2], tok[3])
                 coeff = Fraction(num, den)
             else:
                 coeff = Fraction(num)

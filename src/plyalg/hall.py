@@ -5,17 +5,18 @@ combination of Hall elements.
 
 Nodes are hash-consed: structurally equal nodes are the same Python object,
 so equality is identity. Letters are arbitrary hashable values ordered by a
-supplied comparator. The Hall order is one tuple sort key, cached per
-comparator and node: foliage length, foliage word, then structure, so that
-foliage ties between distinct nodes are broken and every branch the
-rewriting takes is strict. The LTS-Hall predicate is cached the same way.
+supplied comparator. The Hall order is one tuple sort key, cached per node
+and comparator by ``terms.memo``: foliage length, foliage word, then
+structure, so that foliage ties between distinct nodes are broken and every
+branch the rewriting takes is strict. The LTS-Hall predicate is cached the
+same way.
 """
 from __future__ import annotations
 
 from functools import cmp_to_key
 
 from .orders import cmp_ints
-from .terms import LinComb
+from .terms import LinComb, memo
 
 
 class Leaf:
@@ -74,21 +75,17 @@ def foliage(t):
 _HALL_KEY = {}
 
 
+@memo(_HALL_KEY)
 def hall_key(t, cmpl):
     """Sort key of the Hall order: foliage length, foliage word (letters by
     ``cmpl``), then the structural key, which is (0, letter) for a leaf and
     (arity, children's structural keys...) for a node."""
-    k = _HALL_KEY.get((cmpl, t))
-    if k is None:
-        if isinstance(t, Leaf):
-            letter = cmp_to_key(cmpl)(t.letter)
-            k = (1, (letter,), (0, letter))
-        else:
-            kids = [hall_key(getattr(t, slot), cmpl) for slot in t.__slots__]
-            k = (sum(kid[0] for kid in kids), sum((kid[1] for kid in kids), ()),
-                 (len(kids),) + tuple(kid[2] for kid in kids))
-        _HALL_KEY[(cmpl, t)] = k
-    return k
+    if isinstance(t, Leaf):
+        letter = cmp_to_key(cmpl)(t.letter)
+        return (1, (letter,), (0, letter))
+    kids = [hall_key(getattr(t, slot), cmpl) for slot in t.__slots__]
+    return (sum(kid[0] for kid in kids), sum((kid[1] for kid in kids), ()),
+            (len(kids),) + tuple(kid[2] for kid in kids))
 
 
 def hall_cmp(a, b, cmpl):
@@ -114,6 +111,7 @@ def is_hall(t, cmpl):
 _LTS_HALL = {}
 
 
+@memo(_LTS_HALL)
 def is_lts_hall(t, cmpl):
     """Hall element of the free ternary magma (Lie triple system basis).
 
@@ -122,15 +120,11 @@ def is_lts_hall(t, cmpl):
     """
     if isinstance(t, Leaf):
         return True
-    r = _LTS_HALL.get((cmpl, t))
-    if r is None:
-        assert isinstance(t, Node3)
-        x, y, z = t.x, t.y, t.z
-        r = (is_lts_hall(x, cmpl) and is_lts_hall(y, cmpl) and is_lts_hall(z, cmpl)
-             and hall_cmp(x, y, cmpl) > 0 and hall_cmp(y, z, cmpl) <= 0
-             and (isinstance(x, Leaf) or hall_cmp(x.z, y, cmpl) <= 0))
-        _LTS_HALL[(cmpl, t)] = r
-    return r
+    assert isinstance(t, Node3)
+    x, y, z = t.x, t.y, t.z
+    return (is_lts_hall(x, cmpl) and is_lts_hall(y, cmpl) and is_lts_hall(z, cmpl)
+            and hall_cmp(x, y, cmpl) > 0 and hall_cmp(y, z, cmpl) <= 0
+            and (isinstance(x, Leaf) or hall_cmp(x.z, y, cmpl) <= 0))
 
 
 class RewriteStuck(Exception):

@@ -3,7 +3,7 @@ free post-Lie-Yamaguti algebra, with replayable rewrite traces.
 
 The working representation is the triple basis. A worklist loop picks a term
 outside the target basis (per strategy), locates its innermost reducible
-subterm, and applies the lowest-numbered applicable rule:
+subterm, and applies the rule that ``_match`` finds there:
 
   PLY1        reorder or kill a bracket
   PLY2        push a symmetric word through a bracket root
@@ -13,11 +13,13 @@ subterm, and applies the lowest-numbered applicable rule:
   PLY6        derived derivation rule for nested triple-brackets
   PLY5        move a large bracket second-component out of a triple-bracket
 
-Each rule application is one trace step whose replacement is a deterministic
-function of the redex, so traces can be checked by recomputation. A step
-keeps the term's one-step image, not the working set, which ``check_trace``
-rebuilds by replay. ``plyalg normalize --trace FILE`` writes format 2: a
-header with ``"format": 2``, then per step an ``after_hash`` of that image.
+The target basis is the set of terms on which no rule matches, so the rules
+are stated once, in ``_match``. Each rule application is one trace step
+whose replacement is a deterministic function of the redex, so traces can be
+checked by recomputation. A step keeps the term's one-step image, not the
+working set, which ``check_trace`` rebuilds by replay. ``plyalg normalize
+--trace FILE`` writes format 2: a header with ``"format": 2``, then per step
+an ``after_hash`` of that image.
 """
 from __future__ import annotations
 
@@ -27,19 +29,19 @@ from dataclasses import dataclass
 
 from . import hall
 from .bases import (any_to_t, cmp_hall_t, cmp_t, enumerate_T, shat_to_t,
-                    t_key, t_value_lin, to_shat)
+                    t_key, t_value, t_value_lin, to_shat)
 from .tensor import tree_brk, tree_mul, word_lincomb, word_act_trees
 from .terms import (BRK, GEN, SYMGRAFT, TRIPLE, LinComb, brk, canon_key,
-                    has_bracket, multilinear, subterms, symgraft, triple)
+                    has_bracket, memo, multilinear, subterms, symgraft, triple)
 
 DEFAULT_FUEL = 10 ** 6
 
 
 class OrderConflictError(Exception):
     """The Hall order and the basis order disagree on the first two slots of
-    a triple: ``triple_of`` orients triples by ``cmp_t``, the TB-antisym rule
-    tests ``cmp_hall_t``. Seen from 7 vertices on, for example on
-    ``gr(b, gr(b, a; a), b, b; a)`` over the generators a, b."""
+    a triple: ``triple_of`` orients triples by ``cmp_t``, ``_match`` tests
+    ``cmp_hall_t`` for the TB-antisym rule. Seen from 7 vertices on, for
+    example on ``gr(b, gr(b, a; a), b, b; a)`` over the generators a, b."""
 
 
 class InternalRewriteError(Exception):
@@ -77,56 +79,21 @@ class RewriteTrace:
 _IS_B = {}
 
 
+@memo(_IS_B)
 def is_B(t):
     """Membership in the basis of the free post-Lie-Yamaguti algebra.
 
-    The predicate is the fixed-point set of the rewriting rules. Linear
-    independence modulo the ideal is machine-verified (exact-rank oracle
-    over the full relation span) through six vertices over one generator
-    and five over two; with two generators a dependence among six-vertex
-    fixed points exists, so normal forms beyond that envelope are sound
-    but not canonical. See the repository test suite.
+    The predicate is the fixed-point set of the rewriting rules: a
+    triple-basis term whose children are in the basis and on which
+    ``_match`` finds no rule. Linear independence modulo the ideal is
+    machine-verified (exact-rank oracle over the full relation span)
+    through six vertices over one generator and five over two; with two
+    generators a dependence among six-vertex fixed points exists, so normal
+    forms beyond that envelope are sound but not canonical. See the
+    repository test suite.
     """
-    v = _IS_B.get(t)
-    if v is None:
-        v = _is_B(t)
-        _IS_B[t] = v
-    return v
-
-
-def _is_B(t):
-    if t.kind == GEN:
-        return True
-    if t.kind == BRK:
-        return is_B(t.x) and is_B(t.y) and cmp_hall_t(t.x, t.y) > 0
-    if t.kind == SYMGRAFT:
-        return t.root.kind == GEN and all(is_B(b) for b in t.sym)
-    if t.kind == TRIPLE:
-        if t.sym:
-            return False
-        y, z, w = t.y, t.z, t.w
-        if w.kind == BRK:
-            # the image of a graft onto a bracket root; the bracket rule
-            # pushes the triple-bracket inside as a derivation
-            return False
-        if not (is_B(y) and is_B(z) and is_B(w)):
-            return False
-        return _triple_conditions(y, z, w)
-    return False
-
-
-def _triple_conditions(y, z, w):
-    if cmp_hall_t(y, z) <= 0:
-        return False
-    if cmp_hall_t(z, w) > 0:
-        return False
-    if y.kind == TRIPLE and not y.sym and cmp_hall_t(y.w, z) > 0:
-        return False
-    if y.kind == BRK and cmp_hall_t(y.y, z) > 0:
-        return False
-    if z.kind == BRK and cmp_hall_t(z.y, y) > 0:
-        return False
-    return True
+    return (t.kind in (GEN, BRK, SYMGRAFT, TRIPLE)
+            and all(is_B(c) for _, c in subterms(t)) and _match(t) is None)
 
 
 def is_B_lat(t):
@@ -162,29 +129,22 @@ def lat_project(x):
 _BH2T = {}
 
 
+@memo(_BH2T)
+def _bhat_to_t(t):
+    return shat_to_t(to_shat(t))
+
+
 def _bhat_lc_to_t(x):
-    out = LinComb()
-    for t, c in x.items():
-        v = _BH2T.get(t)
-        if v is None:
-            v = shat_to_t(to_shat(t))
-            _BH2T[t] = v
-        out.add_in(v, c)
-    return out
+    return x.map_terms(_bhat_to_t)
 
 
 _TMUL = {}
 
 
+@memo(_TMUL)
 def t_mul(x, y):
     """Free triangle product of two triple-basis terms, in triple coordinates."""
-    key = (x, y)
-    out = _TMUL.get(key)
-    if out is None:
-        from .bases import t_value
-        out = _bhat_lc_to_t(tree_mul(t_value(x), t_value(y)))
-        _TMUL[key] = out
-    return out
+    return _bhat_lc_to_t(tree_mul(t_value(x), t_value(y)))
 
 
 def t_mul_lin(X, Y):
@@ -194,7 +154,6 @@ def t_mul_lin(X, Y):
 def t_word_action(words, target):
     """A combination of words of triple-basis letters acting on a combination
     (exact free evaluation)."""
-    from .bases import t_value
     bw = words.map_terms(lambda w: word_lincomb([t_value(l) for l in w]))
     return _bhat_lc_to_t(word_act_trees(bw, t_value_lin(target)))
 
@@ -293,6 +252,24 @@ def _cyc(t):
     return ((x, y, z), (y, z, x), (z, x, y))
 
 
+def _ply1_step(u, v):
+    # [[u,v]] -> −[[v,u]], and [[u,u]] -> 0
+    return LinComb() if u is v else LinComb.of(brk(v, u), Fraction(-1))
+
+
+def _ply2_triple_step(y, z, u, v):
+    # [y,z,[[u,v]]] = [[[y,z,u],v]] + [[u,[y,z,v]]]  (from PLY2)
+    return tree_brk(triple_of(y, z, u), _of(v)) + tree_brk(_of(u), triple_of(y, z, v))
+
+
+def _antisym_step(y, z, w):
+    # [y,z,w] -> −[z,y,w], and [y,y,w] -> 0
+    if cmp_t(z, y) < 0:
+        raise OrderConflictError(
+            "Hall order and basis order disagree on %r vs %r" % (y, z))
+    return -triple_of(z, y, w)
+
+
 def _ply4_step(y, z, w):
     # [y,z,w] -> [y,w,z] − [z,w,y] + Σ_cyc ( [[[[α,β]],γ]] + [[α,β]] ▷ γ )
     out = triple_of(y, w, z) - triple_of(z, w, y)
@@ -377,54 +354,55 @@ def subst(t, path, repl):
 
 # -- the head rules -----------------------------------------------------------------
 
+def _match(s):
+    """The rule that rewrites ``s``, a term whose children are all in the
+    basis: (rule name, bindings, expander, its arguments), or None when no
+    rule applies. The rules that read only the shape of ``s`` come first."""
+    if s.kind == BRK:
+        u, v = s.x, s.y
+        if u is v or cmp_hall_t(u, v) < 0:
+            return "PLY1", (("x", u), ("y", v)), _ply1_step, (u, v)
+    elif s.kind == SYMGRAFT:
+        root = s.root
+        if root.kind == BRK:
+            return ("PLY2", (("sym", s.sym), ("x", root.x), ("y", root.y)),
+                    expand_sym_on_bracket, (s.sym, root.x, root.y))
+    elif s.kind == TRIPLE:
+        y, z, w = s.y, s.z, s.w
+        if s.sym:
+            return ("PLY3", (("sym", s.sym), ("x", y), ("y", z), ("z", w)),
+                    expand_sym_on_triple, (s.sym, y, z, w))
+        if w.kind == BRK:
+            # the image of a graft onto a bracket root
+            return ("PLY2", (("x", y), ("y", z), ("u", w.x), ("v", w.y)),
+                    _ply2_triple_step, (y, z, w.x, w.y))
+        if cmp_hall_t(y, z) <= 0:
+            return ("TB-antisym", (("x", y), ("y", z), ("z", w)),
+                    _antisym_step, (y, z, w))
+        if cmp_hall_t(z, w) > 0:
+            return "PLY4", (("x", y), ("y", z), ("z", w)), _ply4_step, (y, z, w)
+        if y.kind == TRIPLE and not y.sym and cmp_hall_t(y.w, z) > 0:
+            return ("PLY6", (("u", y.y), ("v", y.z), ("x", y.w), ("y", z), ("z", w)),
+                    _ply6_step, (y.y, y.z, y.w, z, w))
+        if y.kind == BRK and cmp_hall_t(y.y, z) > 0:
+            return ("PLY5", (("x", y.x), ("y", y.y), ("z", z), ("u", w)),
+                    _ply5_step, (y.x, y.y, z, w, +1))
+        if z.kind == BRK and cmp_hall_t(z.y, y) > 0:
+            return ("PLY5", (("x", z.x), ("y", z.y), ("z", y), ("u", w)),
+                    _ply5_step, (z.x, z.y, y, w, -1))
+    return None
+
+
 def head_rewrite(s):
     """Rewrite a redex whose children are all in the basis.
 
     Returns (rule name, bindings, replacement combination).
     """
-    if s.kind == BRK:
-        u, v = s.x, s.y
-        if u is v:
-            return "PLY1", (("x", u), ("y", v)), LinComb()
-        if cmp_hall_t(u, v) < 0:
-            return "PLY1", (("x", u), ("y", v)), LinComb.of(brk(v, u), Fraction(-1))
-        raise InternalRewriteError("bracket %r is already reduced" % s)
-    if s.kind == SYMGRAFT:
-        root = s.root
-        if root.kind != BRK:
-            raise InternalRewriteError("graft %r is already reduced" % s)
-        return ("PLY2", (("sym", s.sym), ("x", root.x), ("y", root.y)),
-                expand_sym_on_bracket(s.sym, root.x, root.y))
-    if s.kind == TRIPLE:
-        if s.sym:
-            return ("PLY3", (("sym", s.sym), ("x", s.y), ("y", s.z), ("z", s.w)),
-                    expand_sym_on_triple(s.sym, s.y, s.z, s.w))
-        y, z, w = s.y, s.z, s.w
-        if w.kind == BRK:
-            # [y,z,[[u,v]]] = [[[y,z,u],v]] + [[u,[y,z,v]]]  (from PLY2)
-            u, v = w.x, w.y
-            repl = (tree_brk(triple_of(y, z, u), _of(v))
-                    + tree_brk(_of(u), triple_of(y, z, v)))
-            return ("PLY2", (("x", y), ("y", z), ("u", u), ("v", v)), repl)
-        ch = cmp_hall_t(y, z)
-        if ch < 0:
-            if cmp_t(z, y) > 0:
-                return ("TB-antisym", (("x", y), ("y", z), ("z", w)),
-                        LinComb.of(triple((), z, y, w), Fraction(-1)))
-            raise OrderConflictError(
-                "Hall order and basis order disagree on %r vs %r" % (y, z))
-        if cmp_hall_t(z, w) > 0:
-            return ("PLY4", (("x", y), ("y", z), ("z", w)), _ply4_step(y, z, w))
-        if y.kind == TRIPLE and not y.sym and cmp_hall_t(y.w, z) > 0:
-            return ("PLY6", (("u", y.y), ("v", y.z), ("x", y.w), ("y", z), ("z", w)),
-                    _ply6_step(y.y, y.z, y.w, z, w))
-        if y.kind == BRK and cmp_hall_t(y.y, z) > 0:
-            return ("PLY5", (("x", y.x), ("y", y.y), ("z", z), ("u", w)),
-                    _ply5_step(y.x, y.y, z, w, +1))
-        if z.kind == BRK and cmp_hall_t(z.y, y) > 0:
-            return ("PLY5", (("x", z.x), ("y", z.y), ("z", y), ("u", w)),
-                    _ply5_step(z.x, z.y, y, w, -1))
-    raise InternalRewriteError("no rule applies to %r" % s)
+    m = _match(s)
+    if m is None:
+        raise InternalRewriteError("no rule applies to %r" % s)
+    rule, bindings, expand, args = m
+    return rule, bindings, expand(*args)
 
 
 # -- the worklist loop ----------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Total orders on generators, OSBB words, and symmetric-block basis elements.
 
-Each order is a tuple sort key, computed once per term and cached; the
-comparators return -1/0/+1 by comparing keys. ``shat_key`` orders the
-symmetric-block basis: vertex count first, then shape (generator < bracket <
-graft), then structure. The same key orders the one-operator basis, whose
-elements are the bracket-free special case.
+Each order is a tuple sort key, and the comparators return -1/0/+1 by
+comparing keys. ``shat_key``, computed once per term and cached by
+``terms.memo``, orders the symmetric-block basis: vertex count first, then
+shape (generator < bracket < graft), then structure. The same key orders
+the one-operator basis, whose elements are the bracket-free special case.
 """
 from __future__ import annotations
 
 from functools import cmp_to_key
 
-from .terms import BRK, GEN, OGRAFT
+from .terms import BRK, GEN, OGRAFT, memo
 
 
 def cmp_ints(a, b):
@@ -46,19 +46,15 @@ def cmp_delta(w1, w2, cmpl):
 _CMP_SHAT = {}
 
 
+@memo(_CMP_SHAT)
 def shat_key(x):
     """Sort key of a symmetric-block basis element."""
-    k = _CMP_SHAT.get(x)
-    if k is None:
-        if x.kind == GEN:
-            k = (x.vc, GEN, x.index)
-        elif x.kind == BRK:
-            k = (x.vc, BRK, shat_key(x.x), shat_key(x.y))
-        else:
-            assert x.kind == OGRAFT, "shat_key got a non-symmetric-block term"
-            k = (x.vc, OGRAFT, x.word.vc, delta_key(x.word, shat_key), shat_key(x.root))
-        _CMP_SHAT[x] = k
-    return k
+    if x.kind == GEN:
+        return (x.vc, GEN, x.index)
+    if x.kind == BRK:
+        return (x.vc, BRK, shat_key(x.x), shat_key(x.y))
+    assert x.kind == OGRAFT, "shat_key got a non-symmetric-block term"
+    return (x.vc, OGRAFT, x.word.vc, delta_key(x.word, shat_key), shat_key(x.root))
 
 
 def cmp_shat(x, y):

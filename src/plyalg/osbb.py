@@ -4,8 +4,8 @@ ordered symmetric-bracket-block words over a totally ordered letter basis.
 
 The decomposition works per (length, letter-multiset) component: enumerate
 every OSBB word with that multiset, expand each, and solve the exact linear
-system. Components are cached keyed by the letter order and the sorted
-letter multiset.
+system. Components are cached by ``terms.memo``, keyed by the sorted
+letter multiset and the letter order.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import linalg
-from .terms import LinComb, block, canon_key, osbb_word
+from .terms import LinComb, block, canon_key, memo, osbb_word
 from .tensor import symmetrize, tensor_mul
 
 
@@ -78,11 +78,8 @@ def words_for_multiset(letters, cmp):
 _COMPONENTS = {}
 
 
+@memo(_COMPONENTS)
 def _component(ms, cmp):
-    key = (cmp, ms)
-    comp = _COMPONENTS.get(key)
-    if comp is not None:
-        return comp
     words = words_for_multiset(ms, cmp)
     perms = sorted(set(itertools.permutations(ms)),
                    key=lambda w: tuple(canon_key(t) for t in w))
@@ -95,10 +92,7 @@ def _component(ms, cmp):
     for j, ow in enumerate(words):
         for w, c in expand(ow).items():
             mat[index[w]][j] = c
-    inv = linalg.invert(mat)
-    comp = (words, index, inv)
-    _COMPONENTS[key] = comp
-    return comp
+    return words, index, linalg.invert(mat)
 
 
 def decompose(x, cmp):

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
-from .terms import BRK, GEN, GRAFT, LinComb, brk, graft, multilinear
+from .terms import BRK, GEN, GRAFT, LinComb, brk, graft, memo, multilinear
 
 EMPTY = ()
 
@@ -110,23 +110,18 @@ def _derive(x, w, base):
 _PROD = {}
 
 
+@memo(_PROD)
 def graft_product(x, y):
     """Free triangle product of two tree-basis terms, expanded in the basis."""
-    key = (x, y)
-    out = _PROD.get(key)
-    if out is not None:
-        return out
     if y.kind in (GEN, BRK):
-        out = LinComb.of(graft((x,), y))
-    else:
-        assert y.kind == GRAFT
-        # x ▷ (w ▷ r) = (x·w) ▷ r + (x ▷ w) ▷ r
-        out = LinComb.of(graft((x,) + y.branches, y.root))
-        bs = y.branches
-        for i in range(len(bs)):
-            for t, c in graft_product(x, bs[i]).items():
-                out.add_in(LinComb.of(graft(bs[:i] + (t,) + bs[i + 1:], y.root)), c)
-    _PROD[key] = out
+        return LinComb.of(graft((x,), y))
+    assert y.kind == GRAFT
+    # x ▷ (w ▷ r) = (x·w) ▷ r + (x ▷ w) ▷ r
+    out = LinComb.of(graft((x,) + y.branches, y.root))
+    bs = y.branches
+    for i in range(len(bs)):
+        for t, c in graft_product(x, bs[i]).items():
+            out.add_in(LinComb.of(graft(bs[:i] + (t,) + bs[i + 1:], y.root)), c)
     return out
 
 

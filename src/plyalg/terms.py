@@ -8,6 +8,11 @@ tables cheap. ``_intern`` fills the slots from the lookup key and derives
 the vertex count ``vc`` and bracket count ``bc`` (and a word's ``length``)
 from the children once, at construction.
 
+Every per-term cache of the package is a module-level table filled by one
+decorator, ``memo``; only the interning tables and the two caches that
+normalize their key first (``osbb.words_for_multiset``,
+``normal._expand_sym``) are written by hand.
+
 Node kinds
     Gen        generator (every basis)
     Brk        binary bracket of two terms (every basis)
@@ -24,14 +29,37 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from operator import mul
 
 GEN, BRK, GRAFT, OGRAFT, SYMGRAFT, TRIPLE = range(6)
 
 
+def memo(table):
+    """Cache a function in ``table``, keyed by its argument, or by the tuple
+    of its arguments when it takes several. The function must not return
+    None; a cached False or empty combination is a hit."""
+    def wrap(f):
+        # the one-argument wrapper skips packing the arguments: about half
+        # the cost of a hit, and the hot maps (is_B, order keys) take one
+        if f.__code__.co_argcount == 1:
+            def cached(x):
+                v = table.get(x)
+                if v is None:
+                    v = table[x] = f(x)
+                return v
+        else:
+            def cached(*args):
+                v = table.get(args)
+                if v is None:
+                    v = table[args] = f(*args)
+                return v
+        return wraps(f)(cached)
+    return wrap
+
+
 class Term:
-    __slots__ = ("vc", "bc", "_ckey")
+    __slots__ = ("vc", "bc")
 
     def __repr__(self):
         from .exprs import render_term
@@ -123,7 +151,6 @@ def _intern(table, cls, *key):
             node.length = len(kids)
         else:
             kids = [c for _, c in subterms(node)]
-            node._ckey = None
         node.vc = (cls is Gen) + sum(c.vc for c in kids)
         node.bc = (cls is Brk) + sum(c.bc for c in kids)
     return node
@@ -169,26 +196,25 @@ def triple(sym, y, z, w):
     return _intern(_TRI, Triple, tuple(sorted(sym, key=canon_key)), y, z, w)
 
 
+_CANON = {}
+
+
+@memo(_CANON)
 def canon_key(t):
     """Fixed structural sort key; an arbitrary total order used only where
     the mathematical orders are silent (storage canon, deterministic scans)."""
-    k = t._ckey
-    if k is None:
-        if t.kind == GEN:
-            k = (GEN, t.index, t.name)
-        elif t.kind == BRK:
-            k = (BRK, canon_key(t.x), canon_key(t.y))
-        elif t.kind == GRAFT:
-            k = (GRAFT, canon_key(t.root), tuple(canon_key(b) for b in t.branches))
-        elif t.kind == OGRAFT:
-            k = (OGRAFT, canon_key(t.root), word_key(t.word))
-        elif t.kind == SYMGRAFT:
-            k = (SYMGRAFT, canon_key(t.root), tuple(canon_key(b) for b in t.sym))
-        else:
-            k = (TRIPLE, tuple(canon_key(b) for b in t.sym),
-                 canon_key(t.y), canon_key(t.z), canon_key(t.w))
-        t._ckey = k
-    return k
+    if t.kind == GEN:
+        return (GEN, t.index, t.name)
+    if t.kind == BRK:
+        return (BRK, canon_key(t.x), canon_key(t.y))
+    if t.kind == GRAFT:
+        return (GRAFT, canon_key(t.root), tuple(canon_key(b) for b in t.branches))
+    if t.kind == OGRAFT:
+        return (OGRAFT, canon_key(t.root), word_key(t.word))
+    if t.kind == SYMGRAFT:
+        return (SYMGRAFT, canon_key(t.root), tuple(canon_key(b) for b in t.sym))
+    return (TRIPLE, tuple(canon_key(b) for b in t.sym),
+            canon_key(t.y), canon_key(t.z), canon_key(t.w))
 
 
 def word_key(w):
@@ -258,8 +284,11 @@ class Alphabet:
     def __iter__(self):
         return iter(self.gens)
 
-    def key(self):
-        return tuple(g.name for g in self.gens)
+    def __eq__(self, other):
+        return isinstance(other, Alphabet) and self.gens == other.gens
+
+    def __hash__(self):
+        return hash(self.gens)
 
 
 ONE = Fraction(1)
@@ -321,10 +350,10 @@ class LinComb:
         return LinComb(dict(self.terms)).add_in(other)
 
     def __sub__(self, other):
-        return LinComb(dict(self.terms)).add_in(other, -1)
+        return self + -other
 
     def __neg__(self):
-        return LinComb().add_in(self, -1)
+        return LinComb({t: -c for t, c in self.terms.items()})
 
     def scale(self, k):
         k = Fraction(k)

@@ -120,7 +120,10 @@ def check_ly_axioms(max_vertices=6, samples=20, seed=0, alphabet=None):
 
 def check_lat_degeneration(max_vertices=5, samples=20, seed=0, alphabet=None):
     """In the bracket -> 0 quotient the binary operation vanishes and the
-    ternary operation is minus the triple-bracket. Returns LYReports."""
+    ternary operation is minus the triple-bracket. Returns LYReports, none
+    when a triple does not fit in ``max_vertices``."""
+    if max_vertices < 3:
+        return []
     if alphabet is None:
         alphabet = Alphabet.of_size(1)
     pool = [t for t in basis_pool(max_vertices, alphabet, 3) if not has_bracket(t)]

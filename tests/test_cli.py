@@ -125,6 +125,31 @@ def test_deep_nesting_exit_1(capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("cmd", ["normalize", "osbb", "phi"])
+def test_zero_denominator_exit_1(capsys, cmd):
+    code, out, err = run(capsys, cmd, "1/0*a")
+    assert code == 1 and not out
+    assert err == "error: zero denominator (line 1, column 3)\n"
+
+
+def test_unwritable_trace_exit_1(tmp_path, capsys):
+    path = tmp_path / "missing" / "trace.jsonl"
+    code, out, err = run(capsys, "normalize", "a", "--trace", str(path))
+    assert code == 1 and not out
+    assert err.startswith("error: cannot write trace ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_vertices", [1, 2])
+def test_ly_axioms_below_three_vertices(capsys, max_vertices):
+    # no LAT triple fits: only the LY axioms of arity <= max_vertices run,
+    # 20 samples each
+    code, out, _ = run(capsys, "check", "--suite", "ly-axioms",
+                       "--max-vertices", str(max_vertices))
+    report = json.loads(out)
+    assert code == 0 and report["pass"] is True
+    assert report["checked"] == 20 * max_vertices
+
+
 def test_order_conflict_exit_4(capsys):
     # a known defect: triple_of orients by cmp_t, TB-antisym tests cmp_hall_t
     code, out, err = run(capsys, "normalize", "gr(b, gr(b, a; a), b, b; a)",

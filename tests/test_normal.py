@@ -1,6 +1,7 @@
 """The normalizer: worked examples, basis fixpoints, annihilation of the
 defining relations, trace soundness, strategy independence, and the
 projection onto the bracket-free quotient."""
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -218,19 +219,30 @@ def g2_t():
 def test_is_B_matches_hall_injection():
     # the basis predicate's triple conditions agree with the generic Hall
     # checker through the magma injection, plus the bracket side conditions
+    # (a bracket in the third slot needs two generators to be a basis element)
     from plyalg.bases import enumerate_T
     from plyalg.terms import BRK, TRIPLE
-    for n in range(1, 6):
-        for t in enumerate_T(n, A1):
+    for alphabet, n in itertools.product((A1, A2), range(1, 6)):
+        for t in enumerate_T(n, alphabet):
             if (t.kind == TRIPLE and not t.sym
                     and is_B(t.y) and is_B(t.z) and is_B(t.w)):
                 hall_ok = is_lts_hall_t(t)
-                side_ok = True
+                side_ok = t.w.kind != BRK
                 if t.y.kind == BRK and cmp_hall_t(t.y.y, t.z) > 0:
                     side_ok = False
                 if t.z.kind == BRK and cmp_hall_t(t.z.y, t.y) > 0:
                     side_ok = False
                 assert is_B(t) == (hall_ok and side_ok)
+
+
+def test_equal_first_slots_not_in_basis():
+    # no constructor builds [y,y,w]; built directly, it is no basis element
+    # and antisymmetry rewrites it to 0
+    from plyalg.normal import head_rewrite
+    b = A2.gens[1]
+    t = triple((), b, b, A2.gens[0])
+    assert not is_B(t)
+    assert head_rewrite(t)[0] == "TB-antisym" and not head_rewrite(t)[2]
 
 
 def test_lat_projection():

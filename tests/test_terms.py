@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from plyalg.terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, Alphabet, LinComb,
                           OsbbWord, block, bracket_count, brk, gen, graft,
-                          has_bracket, osbb_word, symgraft, triple, vertex_count)
+                          has_bracket, memo, osbb_word, subterms, symgraft, triple,
+                          vertex_count)
 from plyalg.bases import enumerate_Bhat, enumerate_Shat, enumerate_T, phi_inv
 
 
@@ -113,6 +114,50 @@ def test_derived_counts(A2):
         else:
             assert has_bracket(t) == (_counts(t)[1] > 0)
     assert words > 0
+
+
+def test_memo():
+    calls = []
+
+    @memo({})
+    def size(t):
+        calls.append(t)
+        return 1 + sum(size(c) for _, c in subterms(t))
+
+    ab = brk(a, b)
+    t = brk(ab, ab)
+    assert size(t) == 7 and size(t) == 7
+    assert sorted(map(id, calls)) == sorted(map(id, (t, ab, a, b)))
+
+    calls.clear()
+
+    @memo({})
+    def is_gen(t):
+        calls.append(t)
+        return t.kind == GEN
+
+    @memo({})
+    def zero(t):
+        calls.append(t)
+        return LinComb()
+
+    assert is_gen(ab) is False and is_gen(ab) is False
+    assert zero(ab) == LinComb() and zero(ab) == LinComb()
+    assert calls == [ab, ab]
+
+    table = {}
+
+    @memo(table)
+    def brk_lc(x, y):
+        return LinComb.of(brk(x, y))
+
+    assert brk_lc(a, b) is brk_lc(a, b) and brk_lc(b, a) == LinComb.of(brk(b, a))
+    assert set(table) == {(a, b), (b, a)}
+
+
+def test_alphabet_value_equality():
+    assert Alphabet(("a", "b")) == A and hash(Alphabet(("a", "b"))) == hash(A)
+    assert Alphabet(("b", "a")) != A and Alphabet(("a",)) != A
 
 
 def test_graft_requires_branches():
