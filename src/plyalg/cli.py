@@ -251,6 +251,10 @@ def run(argv):
         return 0
 
     if args.cmd == "check":
+        if args.max_vertices is not None and args.max_vertices < 1:
+            raise UsageError("--max-vertices must be at least 1, got %d" % args.max_vertices)
+        if args.samples is not None and args.samples < 0:
+            raise UsageError("--samples must be at least 0, got %d" % args.samples)
         fn = SUITES[args.suite]
         kwargs = {"seed": args.seed}
         if args.max_vertices is not None:

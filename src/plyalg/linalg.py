@@ -1,5 +1,14 @@
 """Exact linear algebra: fraction-free (Bareiss) elimination over the
-integers, used for OSBB decomposition and the spanning-rank oracles."""
+integers, used for OSBB decomposition and the spanning-rank oracles.
+
+``invert`` stays in integers until its last step. Bareiss elimination
+brings the row-scaled matrix, augmented with its row scales, to upper
+triangular form; its last pivot ``d`` is the determinant of the (row
+permuted) integer matrix, so ``d`` times the inverse is an adjugate times
+integer row scales, hence integral. The back-substitution solves for
+``d`` times the inverse with one exact integer division per entry, and
+only the final entries become ``Fraction(v, d)``.
+"""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -15,8 +24,8 @@ def _integerize(rows):
     """Scale each row by the lcm of its denominators; returns (int rows, scales)."""
     out, scales = [], []
     for row in rows:
-        d = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        out.append([int(Fraction(x) * d) for x in row])
+        d = lcm(*(x.denominator for x in row)) if row else 1
+        out.append([x.numerator * (d // x.denominator) for x in row])
         scales.append(d)
     return out, scales
 
@@ -25,10 +34,16 @@ def _bareiss_forward(a):
     """In-place fraction-free forward elimination with row pivoting.
 
     Returns the list of pivot column indices. Entries stay integers; the
-    divisions are exact by the Bareiss identity.
+    divisions are exact by the Bareiss identity. A row with 0 in the pivot
+    column would only be rescaled by ``p / prev``, so it is left alone and
+    remembers the pivot ``q`` it was last brought to: its next update
+    divides by ``q`` in place of ``prev``, which folds the skipped
+    rescales into one exact division. Rows below the last pivot row may
+    be left unscaled; only their zero pattern is meaningful.
     """
     n_rows = len(a)
     n_cols = len(a[0]) if n_rows else 0
+    level = [1] * n_rows
     prev = 1
     piv_r = 0
     pivots = []
@@ -42,13 +57,19 @@ def _bareiss_forward(a):
             continue
         if i != piv_r:
             a[piv_r], a[i] = a[i], a[piv_r]
-        p = a[piv_r][piv_c]
+            level[piv_r], level[i] = level[i], level[piv_r]
+        prow = a[piv_r]
+        q = level[piv_r]
+        if q != prev:
+            prow = a[piv_r] = [x * prev // q for x in prow]
+        p = prow[piv_c]
         for r in range(piv_r + 1, n_rows):
-            if not any(a[r][piv_c:]):
-                continue
-            f = a[r][piv_c]
-            for c in range(n_cols):
-                a[r][c] = (a[r][c] * p - f * a[piv_r][c]) // prev
+            row = a[r]
+            f = row[piv_c]
+            if f:
+                q = level[r]
+                a[r] = [(x * p - f * y) // q for x, y in zip(row, prow)]
+                level[r] = p
         prev = p
         pivots.append(piv_c)
         piv_r += 1
@@ -64,7 +85,16 @@ def rank(rows):
 
 
 def invert(rows):
-    """Exact inverse of a square rational matrix as Fraction rows."""
+    """Exact inverse of a square rational matrix as Fraction rows.
+
+    After the forward pass on ``[S*A | S]`` (``S`` the diagonal of row
+    scales) the system reads ``U X = B`` with ``U`` upper triangular, and
+    ``d = U[n-1][n-1]`` is ``det(P*S*A)`` for the row permutation ``P``.
+    So ``Y = d*X = d*A^-1`` is ``+-adj(S*A)*S``, hence integral, and for
+    each row ``r`` from the bottom
+    ``U[r][r] * Y[r] = d*B[r] - sum(U[r][c] * Y[c] for c > r)`` holds in
+    integers, which makes its division by ``U[r][r]`` exact.
+    """
     n = len(rows)
     assert all(len(r) == n for r in rows)
     a, scales = _integerize([list(r) for r in rows])
@@ -74,14 +104,17 @@ def invert(rows):
     pivots = _bareiss_forward(a)
     if len(pivots) != n or pivots != list(range(n)):
         raise SingularSolveError("matrix is singular (rank %d of %d)" % (len(pivots), n))
-    inv = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        x = [Fraction(0)] * n
-        for r in range(n - 1, -1, -1):
-            s = Fraction(a[r][n + col])
-            for c in range(r + 1, n):
-                s -= a[r][c] * x[c]
-            x[r] = s / a[r][r]
-        for r in range(n):
-            inv[r][col] = x[r]
-    return inv
+    d = a[n - 1][n - 1] if n else 1
+    y = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = a.pop()  # row r is not read again: free the work matrix as y fills
+        acc = [d * v for v in row[n:]]
+        for c in range(r + 1, n):
+            f = row[c]
+            if f:
+                acc = [s - f * v for s, v in zip(acc, y[c])]
+        p = row[r]
+        y[r] = [s // p for s in acc]
+    for r in range(n):
+        y[r] = [Fraction(v, d) for v in y[r]]
+    return y

@@ -97,8 +97,22 @@ def test_usage_error_exit_1(capsys):
     ("normalize", "a", "--gens", "a,a"),
     ("check", "--suite", "osbb-roundtrip", "--gens", "0"),
     ("dims", "--basis", "B", "--max-n", "0"),
+    ("check", "--suite", "ply-axioms", "--max-vertices", "0"),
+    ("check", "--suite", "ly-axioms", "--max-vertices", "0"),
+    ("check", "--suite", "lts-hall", "--max-vertices", "-1"),
+    ("check", "--suite", "osbb-roundtrip", "--max-vertices", "0"),
+    ("check", "--suite", "census", "--max-vertices", "0"),
+    ("check", "--suite", "ply-axioms", "--samples", "-1"),
+    ("check", "--suite", "ly-axioms", "--samples", "-1"),
+    ("check", "--suite", "lts-hall", "--samples", "-1"),
+    ("check", "--suite", "osbb-roundtrip", "--samples", "-1"),
+    ("check", "--suite", "census", "--samples", "-1"),
 ], ids=["n-0", "n-negative", "gens-0", "gens-27", "gens-repeated", "check-gens-0",
-        "max-n-0"])
+        "max-n-0", "ply-axioms-max-vertices-0", "ly-axioms-max-vertices-0",
+        "lts-hall-max-vertices-negative", "osbb-roundtrip-max-vertices-0",
+        "census-max-vertices-0", "ply-axioms-samples-negative",
+        "ly-axioms-samples-negative", "lts-hall-samples-negative",
+        "osbb-roundtrip-samples-negative", "census-samples-negative"])
 def test_bad_sizes_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out

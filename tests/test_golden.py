@@ -1,9 +1,9 @@
 """Byte-identical outputs: the first 16 hex digits of the sha256 of the
-stdout of fixed `plyalg check` suites at the default seed, of the Hall
-normal forms of every ternary bracketing of a fixed size, and of the
-normalizer's step sequence on the residuals of one suite. A change that
-alters normal forms, report text or the steps taken on purpose updates
-these digests and says why."""
+stdout of fixed `plyalg check` suites at the default seed, of `plyalg osbb`
+on two words with 5-letter components, of the Hall normal forms of every
+ternary bracketing of a fixed size, and of the normalizer's step sequence
+on the residuals of one suite. A change that alters normal forms, report
+text or the steps taken on purpose updates these digests and says why."""
 import hashlib
 import itertools
 
@@ -31,6 +31,18 @@ GOLDEN = {
 @pytest.mark.parametrize("argv,digest", GOLDEN.values(), ids=GOLDEN.keys())
 def test_check_report_digest(capsys, argv, digest):
     code = main(["check", *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("word,digest", [
+    ("w(a,b,c,d,e)", "04febb29b18baf29"),
+    ("w(a,a,b,c,d)", "a03d05b057d29aae"),
+], ids=["120-permutations", "60-permutations"])
+def test_osbb_decomposition_digest(capsys, word, digest):
+    # the words fill the 5-distinct-letter component and a 60-permutation one
+    code = main(["osbb", word, "--gens", "a,b,c,d,e", "--json"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

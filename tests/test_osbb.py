@@ -1,6 +1,7 @@
 """OSBB expansion/decomposition: worked examples, exhaustive round trips,
 and letter conservation."""
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -104,9 +105,77 @@ def test_linalg_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = invert(m)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+    assert invert([]) == []
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     with pytest.raises(SingularSolveError):
         invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+def _gauss_jordan(m):
+    """Reference: (rank, inverse or None) by plain Fraction Gauss-Jordan."""
+    n_rows, n_cols = len(m), len(m[0])
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n_rows)]
+         for i, row in enumerate(m)]
+    r = 0
+    for c in range(n_cols):
+        p = next((i for i in range(r, n_rows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(n_rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    inv = [row[n_cols:] for row in a] if r == n_rows == n_cols else None
+    return r, inv
+
+
+def _random_matrix(rng, n_rows, n_cols, density):
+    return [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7, 12)))
+             if rng.random() < density else Fraction(0)
+             for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def test_linalg_matches_gauss_jordan():
+    rng = random.Random(20231016)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        m = _random_matrix(rng, n, n, rng.choice((0.3, 0.6, 1.0)))
+        if n > 1 and trial % 2:
+            m[0][0] = Fraction(0)  # forces a row swap
+        # negating one row flips the sign of the determinant
+        for mat in (m, [[-x for x in m[0]]] + m[1:]):
+            r, ref = _gauss_jordan(mat)
+            assert rank(mat) == r
+            if ref is None:
+                with pytest.raises(SingularSolveError):
+                    invert(mat)
+                continue
+            inv = invert(mat)
+            assert inv == ref
+            assert all(type(x) is Fraction for row in inv for x in row)
+            prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)]
+                    for row in mat]
+            assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_linalg_rank_deficient():
+    rng = random.Random(7)
+    for trial in range(60):
+        n_rows, n_cols, k = rng.randint(2, 12), rng.randint(2, 12), rng.randint(1, 4)
+        k = min(k, n_rows, n_cols)
+        # a product of an n_rows x k and a k x n_cols factor has rank <= k
+        left = _random_matrix(rng, n_rows, k, 0.7)
+        right = _random_matrix(rng, k, n_cols, 0.7)
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        r, _ = _gauss_jordan(m)
+        assert r <= k and rank(m) == r
+        if n_rows == n_cols and r < n_rows:
+            with pytest.raises(SingularSolveError):
+                invert(m)
+    assert rank([[Fraction(0)] * 3] * 2) == 0
 
 
 def test_words_cache_keeps_orders_apart():
