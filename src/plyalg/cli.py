@@ -176,6 +176,9 @@ def build_parser():
 def run(argv):
     args = build_parser().parse_args(argv)
 
+    if args.cmd in ("normalize", "ly") and args.fuel < 0:
+        raise UsageError("--fuel must be at least 0, got %d" % args.fuel)
+
     if args.cmd == "normalize":
         alphabet = _alphabet(args.gens) or _infer_alphabet([args.expr])
         nf, trace = normalize(parse_algebra(args.expr, alphabet), fuel=args.fuel)

@@ -1,9 +1,10 @@
 """Normalization of free two-operator algebra elements onto the basis of the
 free post-Lie-Yamaguti algebra, with replayable rewrite traces.
 
-The working representation is the triple basis. A worklist loop picks a term
-outside the target basis (per strategy), locates its innermost reducible
-subterm, and applies the rule that ``_match`` finds there:
+The working representation is the triple basis. The worklist is a priority
+queue of the terms outside the target basis, and a strategy is its priority.
+Each step pops a term, locates its innermost reducible subterm, and applies
+the rule that ``_match`` finds there:
 
   PLY1        reorder or kill a bracket
   PLY2        push a symmetric word through a bracket root
@@ -24,6 +25,7 @@ an ``after_hash`` of that image.
 from __future__ import annotations
 
 import random
+from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from dataclasses import dataclass
 
@@ -407,49 +409,61 @@ def head_rewrite(s):
 
 # -- the worklist loop ----------------------------------------------------------------
 
-def _pick_reference(victims, rng):
-    return max(victims, key=t_key)
+class _Desc:
+    """Heap priority that pops the largest ``t_key`` first."""
+    __slots__ = ("key",)
 
+    def __init__(self, t):
+        self.key = t_key(t)
 
-def _pick_smallest(victims, rng):
-    return min(victims, key=t_key)
-
-
-def _pick_seeded(victims, rng):
-    return rng.choice(sorted(victims, key=canon_key))
-
-
-_STRATEGIES = {"reference": _pick_reference, "smallest": _pick_smallest}
+    def __lt__(self, other):
+        return self.key > other.key
 
 
 def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
     """Normalize a combination (any basis) onto the target basis.
+
+    The worklist is a heap of (priority, term) entries for the non-basis
+    terms of the working set, and the strategy is the priority:
+    ``"reference"`` rewrites the largest term by ``t_key`` first,
+    ``"smallest"`` the smallest, and an int seeds a random priority per
+    entry. ``t_key`` is injective, so equal priorities mean one term and
+    terms are never compared. Each step pushes the non-basis terms of its
+    image; an entry whose term has left the working set is dropped when it
+    reaches the top. A step costs its rule plus O(k log h) for the k terms
+    of its image and a heap of h entries, not a scan of the working set.
 
     Returns (normal form, trace). Raises FuelExhausted with the partial
     state and trace if the step budget runs out.
     """
     start = any_to_t(x)
     work = LinComb(dict(start.terms))
+    terms = work.terms
     steps = []
-    rng = None
     if isinstance(strategy, int):
-        rng = random.Random(strategy)
-        pick = _pick_seeded
+        draw = random.Random(strategy).random
+        prio = lambda t: draw()
     else:
-        pick = _STRATEGIES[strategy]
-    while True:
-        victims = [t for t in work if not is_B(t)]
-        if not victims:
-            break
+        prio = {"reference": _Desc, "smallest": t_key}[strategy]
+    heap = [(prio(t), t) for t in terms if not is_B(t)]
+    heapify(heap)
+    while heap:
+        t = heap[0][1]
+        if t not in terms:
+            heappop(heap)
+            continue
         if fuel <= 0:
             raise FuelExhausted(work, RewriteTrace(start, work, tuple(steps)))
         fuel -= 1
-        t = pick(victims, rng)
+        heappop(heap)
         path, s = find_redex(t)
         rule, bindings, repl = head_rewrite(s)
         image = subst(t, path, repl)
         steps.append(RewriteStep(rule, t, path, bindings, image))
-        work.add_in(image, work.terms.pop(t))
+        work.add_in(image, terms.pop(t))
+        for u in image:
+            if u in terms and not is_B(u):
+                heappush(heap, (prio(u), u))
     return work, RewriteTrace(start, work, tuple(steps))
 
 

@@ -107,12 +107,15 @@ def test_usage_error_exit_1(capsys):
     ("check", "--suite", "lts-hall", "--samples", "-1"),
     ("check", "--suite", "osbb-roundtrip", "--samples", "-1"),
     ("check", "--suite", "census", "--samples", "-1"),
+    ("normalize", "a", "--fuel", "-5"),
+    ("ly", "a", "a", "a", "--fuel", "-3"),
 ], ids=["n-0", "n-negative", "gens-0", "gens-27", "gens-repeated", "check-gens-0",
         "max-n-0", "ply-axioms-max-vertices-0", "ly-axioms-max-vertices-0",
         "lts-hall-max-vertices-negative", "osbb-roundtrip-max-vertices-0",
         "census-max-vertices-0", "ply-axioms-samples-negative",
         "ly-axioms-samples-negative", "lts-hall-samples-negative",
-        "osbb-roundtrip-samples-negative", "census-samples-negative"])
+        "osbb-roundtrip-samples-negative", "census-samples-negative",
+        "normalize-fuel-negative", "ly-fuel-negative"])
 def test_bad_sizes_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from plyalg import hall
-from plyalg.bases import any_to_t, cmp_hall_t, enumerate_Bhat
+from plyalg.bases import any_to_t, cmp_hall_t, enumerate_Bhat, t_key
 from plyalg.normal import (FuelExhausted, RewriteStep, RewriteTrace, check_trace,
-                           enumerate_B, enumerate_B_lat, graded_dim, is_B,
-                           is_lts_hall_t, lat_project, normalize)
+                           enumerate_B, enumerate_B_lat, find_redex, graded_dim,
+                           head_rewrite, is_B, is_lts_hall_t, lat_project,
+                           normalize, subst)
 from plyalg.orders import cmp_gen
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
 from plyalg.tensor import tree_brk, tree_mul, triple_bracket
@@ -112,6 +113,55 @@ def test_strategies_agree():
         assert normalize(x, strategy=100 + i)[0] == ref
 
 
+def _scan_normalize(x, pick):
+    """The loop the heap replaced: every step rescans the working set and
+    picks among all its non-basis terms by ``t_key``. Also returns how many
+    terms came back into the working set after an image cancelled them."""
+    work = LinComb(dict(any_to_t(x).terms))
+    steps, gone, returns = [], set(), 0
+    while True:
+        victims = [t for t in work if not is_B(t)]
+        if not victims:
+            return work, steps, returns
+        t = pick(victims, key=t_key)
+        path, s = find_redex(t)
+        rule, _, repl = head_rewrite(s)
+        image = subst(t, path, repl)
+        steps.append((rule, t, path, image))
+        returns += sum(1 for u in image if u in gone and u not in work)
+        gone |= {u for u in image if u in work}
+        work.add_in(image, work.terms.pop(t))
+        gone -= set(work)
+
+
+def _random_sums(rng, alphabet, max_n, count, size):
+    pool = [t for n in range(3, max_n + 1) for t in enumerate_Bhat(n, alphabet)]
+    coeffs = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2))
+    for _ in range(count):
+        yield LinComb.from_pairs([(rng.choice(pool), rng.choice(coeffs))
+                                  for _ in range(size)])
+
+
+@pytest.mark.parametrize("alphabet,max_n,size", [(A1, 7, 6), (A2, 5, 8)],
+                         ids=["1-gen", "2-gen"])
+def test_heap_picks_as_full_scan(alphabet, max_n, size):
+    # the heap pops the term the full rescan picks, so every step, its
+    # order and the output (in dict order) are the rescan's
+    rng = random.Random(35)
+    returns = 0
+    for x in _random_sums(rng, alphabet, max_n, 10, size):
+        for strategy, pick in (("reference", max), ("smallest", min)):
+            want, want_steps, back = _scan_normalize(x, pick)
+            # exactly enough fuel: stale entries left in the heap cost none
+            out, trace = normalize(x, fuel=len(want_steps), strategy=strategy)
+            assert [(s.rule, s.term, s.path, s.after) for s in trace.steps] == want_steps
+            assert list(out.items()) == list(want.items())
+            returns += back
+    # the corpus exercises the lazy deletion: images cancel terms of the
+    # working set, and some of those terms come back later
+    assert returns > 0
+
+
 def test_fuel_exhaustion():
     x = LinComb.of(brk(a, g2))
     with pytest.raises(FuelExhausted) as ei:
@@ -120,6 +170,23 @@ def test_fuel_exhaustion():
     assert ei.value.trace.steps == ()
     out, _ = normalize(x, fuel=1)
     assert out == LinComb.of(brk(g2_t(), a), Fraction(-1))
+
+
+def test_fuel_prefix():
+    # fuel k stops before the (k+1)-th pop: the first k steps, and the
+    # working set they leave, in the same dict order
+    x, = _random_sums(random.Random(40), A2, 5, 1, 6)
+    _, full = normalize(x)
+    assert len(full.steps) == 31
+    for k in range(len(full.steps)):
+        with pytest.raises(FuelExhausted) as ei:
+            normalize(x, fuel=k)
+        assert ei.value.trace.steps == full.steps[:k]
+        cur = LinComb(dict(full.input.terms))
+        for step in full.steps[:k]:
+            cur.add_in(step.after, cur.terms.pop(step.term))
+        assert list(ei.value.partial.items()) == list(cur.items())
+    assert normalize(x, fuel=len(full.steps))[1].steps == full.steps
 
 
 def _retrace(trace, steps):
