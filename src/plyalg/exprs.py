@@ -129,7 +129,7 @@ class Parser:
                     raise ParseError("zero denominator", tok[2], tok[3])
                 coeff = Fraction(num, den)
             else:
-                coeff = Fraction(num)
+                coeff = num
             if self.peek()[0] == "*":
                 self.next()
                 return ("scaled", sign * coeff, self.parse_atom())
@@ -137,7 +137,7 @@ class Parser:
                 return ("zero",)
             raise ParseError("a bare number is not an element (write c * expr)",
                              t[2], t[3])
-        return ("scaled", Fraction(sign), self.parse_atom())
+        return ("scaled", sign, self.parse_atom())
 
     def parse_atom(self):
         t = self.expect("ident")

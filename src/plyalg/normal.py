@@ -166,7 +166,7 @@ def triple_of(y, z, w):
         return LinComb()
     if cmp_t(y, z) > 0:
         return LinComb.of(triple((), y, z, w))
-    return LinComb.of(triple((), z, y, w), Fraction(-1))
+    return LinComb.of(triple((), z, y, w), -1)
 
 
 def triple_raw(Y, Z, W):
@@ -256,7 +256,7 @@ def _cyc(t):
 
 def _ply1_step(u, v):
     # [[u,v]] -> −[[v,u]], and [[u,u]] -> 0
-    return LinComb() if u is v else LinComb.of(brk(v, u), Fraction(-1))
+    return LinComb() if u is v else LinComb.of(brk(v, u), -1)
 
 
 def _ply2_triple_step(y, z, u, v):
@@ -287,8 +287,7 @@ def _ply6_step(a, b, c, v, w):
     out = triple_raw(_of(a), _of(b), triple_of(c, v, w))
     out -= triple_raw(_of(c), triple_of(a, b, v), _of(w))
     out -= triple_raw(_of(c), _of(v), triple_of(a, b, w))
-    words = LinComb.from_pairs([((a, b, brk(c, v)), Fraction(1)),
-                                ((b, a, brk(c, v)), Fraction(-1))])
+    words = LinComb.from_pairs([((a, b, brk(c, v)), 1), ((b, a, brk(c, v)), -1)])
     out -= t_word_action(words, _of(w))
     out += t_mul_lin(_of(brk(c, v)), triple_of(a, b, w))
     return out

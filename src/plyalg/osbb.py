@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
 
 from . import linalg
 from .terms import LinComb, block, canon_key, memo, osbb_word
@@ -89,7 +88,7 @@ def _component(ms, cmp):
             "OSBB component is not square: %d words vs %d permutations for %r"
             % (len(words), len(perms), ms))
     index = {w: i for i, w in enumerate(perms)}
-    mat = [[Fraction(0)] * len(words) for _ in perms]
+    mat = [[0] * len(words) for _ in perms]
     for j, ow in enumerate(words):
         for w, c in expand(ow).items():
             mat[index[w]][j] = c
@@ -109,5 +108,5 @@ def decompose(x, cmp):
         for i, ow in enumerate(words):
             coeff = inv[i][col]
             if coeff:
-                out.add_in(LinComb.of(ow), c * coeff)
+                out.add_in(LinComb.of(ow, coeff), c)
     return out

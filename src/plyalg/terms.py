@@ -24,6 +24,10 @@ Node kinds
 Graft-like roots are restricted to Gen or Brk. Multisets are stored sorted
 by a fixed structural key (``canon_key``); presentation orders live in the
 orders module and are applied at comparison/printing time.
+
+Coefficients are exact: an ``int`` where the value is integral, else a
+``Fraction`` (``exact``; floats are rejected). ``int`` arithmetic is much
+cheaper, and ``int`` and ``Fraction`` compare, hash and render alike.
 """
 from __future__ import annotations
 
@@ -291,15 +295,28 @@ class Alphabet:
         return hash(self.gens)
 
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
+ONE = 1
+ZERO = 0
+
+
+def exact(c):
+    """A coefficient as stored: an ``int``, or a ``Fraction`` demoted to its
+    numerator when that is its value. Anything that is not an ``int`` or a
+    ``Fraction`` (a float, a string) raises TypeError, so no inexact value
+    reaches a combination."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction and not isinstance(c, (int, Fraction)):
+        raise TypeError("coefficient must be an int or a Fraction, not %r" % (c,))
+    return c.numerator if c.denominator == 1 else c
 
 
 class LinComb:
     """Finite formal sum of basis elements with exact rational coefficients.
 
-    Stored as a dict term -> nonzero Fraction. Works for any hashable basis
-    kind (terms, tensor words, magma nodes).
+    Stored as a dict term -> nonzero coefficient, an ``int`` where the value
+    is integral and a ``Fraction`` with denominator > 1 otherwise. Works for
+    any hashable basis kind (terms, tensor words, magma nodes).
     """
     __slots__ = ("terms",)
 
@@ -313,7 +330,7 @@ class LinComb:
     @classmethod
     def of(cls, term, coeff=ONE):
         if coeff is not ONE:
-            coeff = Fraction(coeff)
+            coeff = exact(coeff)
             if coeff == 0:
                 return cls()
         return cls({term: coeff})
@@ -356,17 +373,18 @@ class LinComb:
         return LinComb({t: -c for t, c in self.terms.items()})
 
     def scale(self, k):
-        k = Fraction(k)
-        if k == 0:
-            return LinComb()
-        return LinComb({t: c * k for t, c in self.terms.items()})
+        return LinComb().add_in(self, k)
 
     __mul__ = scale
     __rmul__ = scale
 
     def add_in(self, other, k=ONE):
         """In-place accumulate k*other (builder use only); the one
-        accumulate loop of every sum, difference and negation."""
+        accumulate loop of every sum, difference and scaling.
+        A sum or product of ``Fraction``s that is integral is stored as
+        its ``int`` numerator."""
+        if k is not ONE:
+            k = exact(k)
         out = self.terms
         for t, c in other.terms.items():
             if k is not ONE:
@@ -377,6 +395,8 @@ class LinComb:
             if c == 0:
                 out.pop(t, None)
             else:
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
                 out[t] = c
         return self
 

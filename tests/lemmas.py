@@ -1,6 +1,8 @@
 """Shared property checks for the structural lemmas about products in the
-block basis (root preservation, word-length bounds, grading preservation)."""
+block basis (root preservation, word-length bounds, grading preservation),
+and for the storage of exact coefficients."""
 import random
+from fractions import Fraction
 
 from plyalg.bases import enumerate_Shat, from_shat, to_shat
 from plyalg.orders import cmp_shat
@@ -9,6 +11,15 @@ from plyalg.tensor import (letters_to_words, lie_word, symmetrize, tensor_mul,
                            tree_mul, triple_bracket, word_act_trees,
                            word_lincomb)
 from plyalg.terms import OGRAFT, LinComb
+
+
+def assert_exact_coefficients(x):
+    """Every stored coefficient of ``x`` is nonzero and either an ``int`` or
+    a ``Fraction`` with denominator > 1: no float, and no ``Fraction(n, 1)``,
+    which gives right answers at ``Fraction`` cost."""
+    for t, c in x.items():
+        assert c != 0, (t, c)
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (t, c)
 
 
 def _word_value(w):

@@ -8,16 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from plyalg import hall
+from plyalg import bases, hall, normal
 from plyalg.bases import any_to_t, cmp_hall_t, enumerate_Bhat, t_key
 from plyalg.normal import (FuelExhausted, RewriteStep, RewriteTrace, check_trace,
                            enumerate_B, enumerate_B_lat, find_redex, graded_dim,
                            head_rewrite, is_B, is_lts_hall_t, lat_project,
                            normalize, subst)
-from plyalg.orders import cmp_gen
+from plyalg.orders import cmp_gen, cmp_shat
+from plyalg.osbb import decompose
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
 from plyalg.tensor import tree_brk, tree_mul, triple_bracket
 from plyalg.terms import Alphabet, LinComb, brk, graft, has_bracket, triple
+
+from lemmas import assert_exact_coefficients
 
 A1 = Alphabet.of_size(1)
 A2 = Alphabet.of_size(2)
@@ -444,3 +447,32 @@ def test_termination_monotone_bracket_count():
         start = min((u.bc for u in any_to_t(x)), default=0)
         for s in trace.steps:
             assert all(u.bc >= start for u in s.after)
+
+
+def test_no_integral_fraction_in_pipeline():
+    # a Fraction(n, 1) gives right answers at Fraction cost, so only its type
+    # shows it: every stored coefficient is an int or a non-integral Fraction
+    rng = random.Random(37)
+    trees = rng.sample(enumerate_Bhat(6, A2), 8)
+    inputs = [LinComb.of(t, Fraction(rng.choice((1, 3)), 2)) + LinComb.of(u, Fraction(1, 2))
+              for t, u in zip(trees, trees[1:])]
+    inputs += [relation_residual(rule, args) for rule, arity in sorted(RELATION_ARITY.items())
+               for args in sample_basis_tuples(arity, 5, 2, 3, A2)]
+    for x in inputs:
+        out, trace = normalize(x)
+        assert_exact_coefficients(out)
+        for step in trace.steps:
+            assert_exact_coefficients(step.after)
+    for table in (normal._TMUL, normal._E2, normal._E3, bases._S2T):
+        assert table
+        for v in table.values():
+            assert_exact_coefficients(v)
+    letters = Alphabet.of_size(4).gens
+    for w in itertools.permutations(letters + letters[:1]):
+        assert_exact_coefficients(decompose(LinComb.of(w), cmp_shat))
+    u, v = hall.leaf(A2.gens[0]), hall.leaf(A2.gens[1])
+    nodes = [hall.node3(*p) for p in itertools.product((u, v), repeat=3)]
+    nodes += [hall.node3(p, q, r) for p, q, r in itertools.product(nodes[:4], (u, v), (u, v))]
+    for p, q in zip(nodes, nodes[1:]):
+        x = LinComb.of(p, Fraction(1, 2)) - LinComb.of(q, Fraction(3, 2))
+        assert_exact_coefficients(hall.lts_hall_rewrite(x, cmp_gen))

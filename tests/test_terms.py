@@ -1,4 +1,5 @@
 """Core term model: grading functions and exact linear combinations."""
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, strategies as st
 
 from plyalg.terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, Alphabet, LinComb,
                           OsbbWord, block, bracket_count, brk, gen, graft,
-                          has_bracket, memo, osbb_word, subterms, symgraft, triple,
-                          vertex_count)
+                          has_bracket, memo, multilinear, osbb_word, subterms, symgraft,
+                          triple, vertex_count)
 from plyalg.bases import enumerate_Bhat, enumerate_Shat, enumerate_T, phi_inv
+from plyalg.exprs import lincomb_json, render_lincomb
+from lemmas import assert_exact_coefficients
 
 
 A = Alphabet.of_size(2)
@@ -176,7 +179,8 @@ def test_lincomb_basic():
 
 
 _terms = st.sampled_from([a, b, brk(a, b), graft((a,), a), graft((b, a), a)])
-_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_coeffs = st.one_of(st.integers(-4, 4),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6))
 
 
 def _lincombs():
@@ -198,6 +202,36 @@ def test_lincomb_scaling(x, y, c, d):
     assert x.scale(c).scale(d) == x.scale(c * d)
 
 
+def _brk_and_double(s, t):
+    return LinComb.of(brk(s, t), Fraction(1, 2)) + LinComb.of(s, 2)
+
+
+@given(_lincombs(), _lincombs(), _coeffs)
+def test_lincomb_no_zero_coefficients(x, y, k):
+    acc = LinComb(dict(x.terms)).add_in(y, k)
+    for z in (x, y, x + y, x - y, -x, x.scale(k), acc,
+              multilinear(_brk_and_double, x, y)):
+        assert_exact_coefficients(z)
+
+
 @given(_lincombs())
-def test_lincomb_no_zero_coefficients(x):
-    assert all(c != 0 for c in x.terms.values())
+def test_int_and_fraction_coefficients_agree(x):
+    y = LinComb({t: Fraction(c) for t, c in x.items()})
+    assert x == y and hash(x) == hash(y)
+    assert render_lincomb(x) == render_lincomb(y)
+    assert lincomb_json(x) == lincomb_json(y)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LinComb.from_pairs([(a, 0.5)]),
+    lambda: LinComb.of(a).add_in(LinComb.of(a), 0.25),
+    lambda: LinComb.of(a, 0.1),
+    lambda: LinComb.of(a).scale(0.1),
+    lambda: LinComb.of(a, Decimal("0.5")),
+    lambda: LinComb.of(a, "1/2"),
+    lambda: multilinear(LinComb.of, LinComb({a: 0.5})),
+], ids=["from_pairs-float", "add_in-float", "of-float", "scale-float", "of-decimal",
+        "of-str", "multilinear-float"])
+def test_inexact_coefficient_rejected(make):
+    with pytest.raises(TypeError):
+        make()
