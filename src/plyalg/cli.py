@@ -85,7 +85,7 @@ def _trace_hash(x):
 
 def _write_trace(path, trace):
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "trace", "format": 2, "steps": len(trace.steps),
+        fh.write(json.dumps({"kind": "trace", "format": 3, "steps": len(trace.steps),
                              "input_hash": _trace_hash(trace.input),
                              "output_hash": _trace_hash(trace.output)},
                             sort_keys=True) + "\n")

@@ -15,12 +15,22 @@ the rule that ``_match`` finds there:
   PLY5        move a large bracket second-component out of a triple-bracket
 
 The target basis is the set of terms on which no rule matches, so the rules
-are stated once, in ``_match``. Each rule application is one trace step
-whose replacement is a deterministic function of the redex, so traces can be
-checked by recomputation. A step keeps the term's one-step image, not the
-working set, which ``check_trace`` rebuilds by replay. ``plyalg normalize
---trace FILE`` writes format 2: a header with ``"format": 2``, then per step
-an ``after_hash`` of that image.
+are stated once, in ``_match``. Brackets are born oriented: ``_brk`` builds
+[[u,v]] as PLY1's image, the rules build their brackets through it, and a
+rewrite starts from its input with every bracket oriented (``_start``). So
+PLY1 and TB-antisym fire only on input triples: TB-antisym on the first two
+slots of an input triple, which orienting them can put out of order, and
+PLY1 never inside ``normalize``, only on a term handed to ``head_rewrite``
+as it is. Otherwise both stay in ``_match`` as the statement of ``is_B``.
+
+Each rule application is one trace step whose replacement is a deterministic
+function of the term, so ``normalize`` memoizes it per term (``_step``) and
+traces can be checked by recomputation: ``check_trace`` recomputes every
+step and never reads that memo. A step keeps the term's one-step image, not
+the working set, which ``check_trace`` rebuilds by replay. ``plyalg
+normalize --trace FILE`` writes format 3: a header with ``"format": 3`` and
+the hash of the oriented input, then per step an ``after_hash`` of that
+image.
 """
 from __future__ import annotations
 
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 from . import hall
 from .bases import (any_to_t, cmp_hall_t, cmp_t, enumerate_T, shat_to_t,
                     t_key, t_value, t_value_lin, to_shat)
-from .tensor import tree_brk, tree_mul, word_lincomb, word_act_trees
+from .tensor import tree_mul, word_lincomb, word_act_trees
 from .terms import (BRK, GEN, SYMGRAFT, TRIPLE, LinComb, brk, canon_key,
                     has_bracket, memo, multilinear, subterms, symgraft, triple)
 
@@ -61,7 +71,7 @@ class FuelExhausted(Exception):
 class RewriteStep:
     """``term``, with coefficient c, leaves the working set and c times
     ``after`` comes in: its one-step image ``subst(term, path, repl)``,
-    hashed as ``after_hash`` in the trace file (format 2)."""
+    hashed as ``after_hash`` in the trace file (format 3)."""
     rule: str
     term: object          # the working term that was rewritten
     path: tuple           # position of the redex inside it
@@ -133,7 +143,7 @@ _BH2T = {}
 
 @memo(_BH2T)
 def _bhat_to_t(t):
-    return shat_to_t(to_shat(t))
+    return shat_to_t(to_shat(t)).map_terms(_orient)
 
 
 def _bhat_lc_to_t(x):
@@ -177,6 +187,38 @@ def _of(t):
     return LinComb.of(t)
 
 
+def _brk(u, v):
+    """The bracket [[u,v]] born oriented: PLY1 applied as it is built, so
+    the bracket comes out in the basis whenever u and v are."""
+    if u is v:
+        return LinComb()
+    if cmp_hall_t(u, v) < 0:
+        return LinComb.of(brk(v, u), -1)
+    return LinComb.of(brk(u, v))
+
+
+def _tree_brk(U, V):
+    return multilinear(_brk, U, V)
+
+
+_ORIENT = {}
+
+
+@memo(_ORIENT)
+def _orient(t):
+    """``t`` with every bracket node re-bracketed by ``_brk``, inside out.
+    Triple slots and ``sym`` multisets stay as they are."""
+    if t.kind == GEN:
+        return _of(t)
+    if t.kind == BRK:
+        return _tree_brk(_orient(t.x), _orient(t.y))
+    sym = [_orient(s) for s in t.sym]
+    if t.kind == SYMGRAFT:
+        return multilinear(lambda r, *s: _of(symgraft(s, r)), _orient(t.root), *sym)
+    return multilinear(lambda y, z, w, *s: _of(triple(s, y, z, w)),
+                       _orient(t.y), _orient(t.z), _orient(t.w), *sym)
+
+
 # -- rule expanders ---------------------------------------------------------------
 
 def _expand_sym(memo, single, act, sym, *head):
@@ -207,7 +249,7 @@ def _expand_sym(memo, single, act, sym, *head):
 
 def _ply2_single(s, u, v):
     # s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]]
-    return tree_brk(t_mul(s, u), _of(v)) + tree_brk(_of(u), t_mul(s, v))
+    return _tree_brk(t_mul(s, u), _of(v)) + _tree_brk(_of(u), t_mul(s, v))
 
 
 def _ply2_act(s, t):
@@ -261,7 +303,7 @@ def _ply1_step(u, v):
 
 def _ply2_triple_step(y, z, u, v):
     # [y,z,[[u,v]]] = [[[y,z,u],v]] + [[u,[y,z,v]]]  (from PLY2)
-    return tree_brk(triple_of(y, z, u), _of(v)) + tree_brk(_of(u), triple_of(y, z, v))
+    return _tree_brk(triple_of(y, z, u), _of(v)) + _tree_brk(_of(u), triple_of(y, z, v))
 
 
 def _antisym_step(y, z, w):
@@ -276,7 +318,7 @@ def _ply4_step(y, z, w):
     # [y,z,w] -> [y,w,z] − [z,w,y] + Σ_cyc ( [[[[α,β]],γ]] + [[α,β]] ▷ γ )
     out = triple_of(y, w, z) - triple_of(z, w, y)
     for a, b, g in _cyc((y, z, w)):
-        out += _of(brk(brk(a, b), g))
+        out += _tree_brk(_brk(a, b), _of(g))
         out += t_mul(brk(a, b), g)
     return out
 
@@ -333,8 +375,8 @@ def subst(t, path, repl):
     slot, rest = path[0], path[1:]
     if t.kind == BRK:
         if slot == "x":
-            return tree_brk(subst(t.x, rest, repl), _of(t.y))
-        return tree_brk(_of(t.x), subst(t.y, rest, repl))
+            return _tree_brk(subst(t.x, rest, repl), _of(t.y))
+        return _tree_brk(_of(t.x), subst(t.y, rest, repl))
     if t.kind == SYMGRAFT:
         if slot == "root":
             def on_root(r):
@@ -408,6 +450,24 @@ def head_rewrite(s):
 
 # -- the worklist loop ----------------------------------------------------------------
 
+def _start(x):
+    """The working set a rewrite starts from: ``x`` in triple-basis
+    coordinates, every bracket oriented."""
+    return any_to_t(x).map_terms(_orient)
+
+
+_STEP = {}
+
+
+@memo(_STEP)
+def _step(t):
+    """The one rewrite step of a non-basis term: (rule, redex path,
+    bindings, one-step image). Each term has exactly one."""
+    path, s = find_redex(t)
+    rule, bindings, repl = head_rewrite(s)
+    return rule, path, bindings, subst(t, path, repl)
+
+
 class _Desc:
     """Heap priority that pops the largest ``t_key`` first."""
     __slots__ = ("key",)
@@ -435,7 +495,7 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
     Returns (normal form, trace). Raises FuelExhausted with the partial
     state and trace if the step budget runs out.
     """
-    start = any_to_t(x)
+    start = _start(x)
     work = LinComb(dict(start.terms))
     terms = work.terms
     steps = []
@@ -455,9 +515,7 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
             raise FuelExhausted(work, RewriteTrace(start, work, tuple(steps)))
         fuel -= 1
         heappop(heap)
-        path, s = find_redex(t)
-        rule, bindings, repl = head_rewrite(s)
-        image = subst(t, path, repl)
+        rule, path, bindings, image = _step(t)
         steps.append(RewriteStep(rule, t, path, bindings, image))
         work.add_in(image, terms.pop(t))
         for u in image:
@@ -476,7 +534,7 @@ def check_trace(input_lc, output_lc, trace, explain=False):
             raise AssertionError(msg)
         return False
 
-    cur = any_to_t(input_lc)
+    cur = _start(input_lc)
     if trace.input != cur:
         return fail("trace input does not match")
     for i, step in enumerate(trace.steps):

@@ -41,11 +41,12 @@ def test_normalize_json(capsys):
 
 def test_normalize_trace(tmp_path, capsys):
     path = tmp_path / "trace.jsonl"
-    code, out, _ = run(capsys, "normalize", "bk(a, gr(a;a))", "--trace", str(path))
+    # brackets are oriented before the first step, so the one step is PLY2
+    code, out, _ = run(capsys, "normalize", "gr(a; bk(gr(a;a), a))", "--trace", str(path))
     assert code == 0
     lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert lines[0]["kind"] == "trace" and lines[0]["steps"] == len(lines) - 1
-    assert lines[0]["format"] == 2
+    assert lines[0]["kind"] == "trace" and lines[0]["steps"] == len(lines) - 1 == 1
+    assert lines[0]["format"] == 3 and lines[1]["rule"] == "PLY2"
     assert all("rule" in rec and "after_hash" in rec and "before_hash" not in rec
                for rec in lines[1:])
     # the one step's image is the whole normal form here
@@ -176,7 +177,7 @@ def test_order_conflict_exit_4(capsys):
 
 
 def test_fuel_exhausted_exit_2(capsys):
-    code, _, err = run(capsys, "normalize", "bk(a, gr(a;a))", "--fuel", "0")
+    code, _, err = run(capsys, "normalize", "gr(a; bk(gr(a;a), a))", "--fuel", "0")
     assert code == 2 and "fuel" in err
 
 

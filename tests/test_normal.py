@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from plyalg import bases, hall, normal
-from plyalg.bases import any_to_t, cmp_hall_t, enumerate_Bhat, t_key
+from plyalg.bases import any_to_t, cmp_hall_t, enumerate_Bhat, enumerate_T, t_key
+from plyalg.cli import main
+from plyalg.exprs import render_lincomb
 from plyalg.normal import (FuelExhausted, RewriteStep, RewriteTrace, check_trace,
                            enumerate_B, enumerate_B_lat, find_redex, graded_dim,
                            head_rewrite, is_B, is_lts_hall_t, lat_project,
@@ -18,7 +20,7 @@ from plyalg.orders import cmp_gen, cmp_shat
 from plyalg.osbb import decompose
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
 from plyalg.tensor import tree_brk, tree_mul, triple_bracket
-from plyalg.terms import Alphabet, LinComb, brk, graft, has_bracket, triple
+from plyalg.terms import Alphabet, LinComb, brk, graft, has_bracket, symgraft, triple
 
 from lemmas import assert_exact_coefficients
 
@@ -120,7 +122,7 @@ def _scan_normalize(x, pick):
     """The loop the heap replaced: every step rescans the working set and
     picks among all its non-basis terms by ``t_key``. Also returns how many
     terms came back into the working set after an image cancelled them."""
-    work = LinComb(dict(any_to_t(x).terms))
+    work = LinComb(dict(normal._start(x).terms))
     steps, gone, returns = [], set(), 0
     while True:
         victims = [t for t in work if not is_B(t)]
@@ -165,14 +167,20 @@ def test_heap_picks_as_full_scan(alphabet, max_n, size):
     assert returns > 0
 
 
+def _graft_on_bracket():
+    # one PLY2 step: a graft onto a bracket root
+    return LinComb.of(graft((a,), brk(g2, a)))
+
+
 def test_fuel_exhaustion():
-    x = LinComb.of(brk(a, g2))
+    x = _graft_on_bracket()
     with pytest.raises(FuelExhausted) as ei:
         normalize(x, fuel=0)
     assert ei.value.partial
     assert ei.value.trace.steps == ()
     out, _ = normalize(x, fuel=1)
-    assert out == LinComb.of(brk(g2_t(), a), Fraction(-1))
+    assert out == (LinComb.of(brk(symgraft((g2_t(),), a), a))
+                   + LinComb.of(brk(symgraft((a, a), a), a)))
 
 
 def test_fuel_prefix():
@@ -180,7 +188,7 @@ def test_fuel_prefix():
     # working set they leave, in the same dict order
     x, = _random_sums(random.Random(40), A2, 5, 1, 6)
     _, full = normalize(x)
-    assert len(full.steps) == 31
+    assert len(full.steps) == 8
     for k in range(len(full.steps)):
         with pytest.raises(FuelExhausted) as ei:
             normalize(x, fuel=k)
@@ -197,8 +205,7 @@ def _retrace(trace, steps):
 
 
 def test_trace_tampering_detected():
-    x = LinComb.of(brk(a, g2))
-    out, trace = normalize(x)
+    x, out, trace = _ply6_trace()
     assert check_trace(x, out, trace)
     assert not check_trace(x, out + LinComb.of(a), trace)
     assert not check_trace(x, out, _retrace(trace, trace.steps[:-1]))
@@ -212,7 +219,7 @@ def test_trace_tampering_detected():
 def test_trace_bad_path_rejected():
     # a path that leaves the term, or ends where no image can be put back,
     # is a failed check, not an exception
-    x = LinComb.of(brk(a, g2))
+    x = _graft_on_bracket()
     b2, c2 = A2.gens
     y = LinComb.of(triple((brk(b2, c2),), b2, c2, b2))
     for z, path, rule in ((x, ("zz",), None), (x, ("x", "x"), None),
@@ -226,22 +233,23 @@ def test_trace_bad_path_rejected():
             check_trace(z, out, bad, explain=True)
 
 
-def _ply4_trace():
-    x = relation_residual("PLY4", (g2_t(), a_t(), a_t()))
+def _ply6_trace():
+    # nine steps (PLY3, PLY4, PLY6) from an input with four non-basis terms
+    x = relation_residual("PLY6", (a_t(), g2_t(), a_t(), g2_t(), a_t()))
     out, trace = normalize(x)
     assert check_trace(x, out, trace, explain=True) and len(trace.steps) > 2
     return x, out, trace
 
 
 def test_trace_renamed_rule_rejected():
-    x, out, trace = _ply4_trace()
+    x, out, trace = _ply6_trace()
     s0 = trace.steps[0]
     bad = replace(s0, rule="PLY6")
     assert not check_trace(x, out, _retrace(trace, (bad,) + trace.steps[1:]))
 
 
 def test_trace_swapped_term_rejected():
-    x, out, trace = _ply4_trace()
+    x, out, trace = _ply6_trace()
     s0 = trace.steps[0]
     others = [t for t in trace.input if t is not s0.term and not is_B(t)]
     assert others
@@ -252,16 +260,16 @@ def test_trace_swapped_term_rejected():
 
 
 def test_trace_dropped_middle_row_rejected():
-    x, out, trace = _ply4_trace()
+    x, out, trace = _ply6_trace()
     k = len(trace.steps) // 2
     assert not check_trace(x, out, _retrace(trace, trace.steps[:k] + trace.steps[k + 1:]))
 
 
 def test_rewriting_leaves_input_unchanged():
-    x, _, trace = _ply4_trace()
+    x, _, trace = _ply6_trace()
     x0 = LinComb(dict(x.terms))
     normalize(x)
-    assert x == x0 and trace.input == any_to_t(x)
+    assert x == x0 and trace.input == normal._start(x)
     u, v = map(hall.leaf, A2.gens)
     y = LinComb.of(hall.node3(u, v, u)) + LinComb.of(hall.node3(v, u, u), Fraction(2))
     y0 = LinComb(dict(y.terms))
@@ -270,12 +278,76 @@ def test_rewriting_leaves_input_unchanged():
 
 
 def test_trace_rules_recorded():
-    residual = relation_residual("PLY4", (g2_t(), a_t(), a_t()))
-    out, trace = normalize(residual)
+    _, out, trace = _ply6_trace()
     assert out == LinComb.zero()
-    assert trace.steps
-    assert all(s.rule in {"PLY1", "PLY2", "PLY3", "PLY4", "PLY5", "PLY6",
-                          "TB-antisym"} for s in trace.steps)
+    assert {s.rule for s in trace.steps} == {"PLY3", "PLY4", "PLY6"}
+
+
+def test_brk_is_ply1_image():
+    # a bracket is born as PLY1's one-step image, or as itself when that
+    # is a basis element, so PLY1 has nothing left to do
+    pool = [t for n in range(1, 5) for t in enumerate_B(n, A2)]
+    for u, v in itertools.product(pool, repeat=2):
+        t = brk(u, v)
+        if is_B(t):
+            want = LinComb.of(t)
+        else:
+            rule, _, want = head_rewrite(t)
+            assert rule == "PLY1"
+        assert normal._brk(u, v) == want, (u, v)
+
+
+def test_normal_form_antisymmetric():
+    rng = random.Random(42)
+    pool = [t for n in range(2, 5) for t in enumerate_T(n, A2) if not is_B(t)]
+    for _ in range(40):
+        u, v = rng.choice(pool), rng.choice(pool)
+        assert nf(LinComb.of(brk(u, v))) == -nf(LinComb.of(brk(v, u))), (u, v)
+
+
+def _grade6_and_residuals(seed):
+    # grade-6 terms over a, b, alone and in sums, and PLY relation residuals;
+    # a lone term with coefficient 1 is the input whose working set could
+    # alias its first step's image
+    rng = random.Random(seed)
+    trees = rng.sample(enumerate_Bhat(6, A2), 16)
+    inputs = [LinComb.of(t) for t in rng.sample(enumerate_T(6, A2), 400) if not is_B(t)][:8]
+    inputs += [LinComb.of(t) - LinComb.of(u, Fraction(1, 2)) for t, u in zip(trees, trees[1:])]
+    inputs += [relation_residual(rule, args) for rule, arity in sorted(RELATION_ARITY.items())
+               for args in sample_basis_tuples(arity, 5, 3, seed, A2)]
+    return inputs
+
+
+def test_no_ply1_step():
+    steps = 0
+    for x in _grade6_and_residuals(43):
+        _, trace = normalize(x)
+        assert all(s.rule != "PLY1" for s in trace.steps), x
+        steps += len(trace.steps)
+    assert steps > 40  # the corpus still takes rule steps
+
+
+def test_step_memo_not_mutated(tmp_path):
+    # a step's image is shared by the memo, every trace that holds it and
+    # every working set it was added into: no run may write into it
+    inputs = _grade6_and_residuals(44)[:8] + [_ply6_trace()[0]]
+    for x in inputs:
+        normalize(x)
+    saved = [(v[3], list(v[3].items())) for v in normal._STEP.values()]
+    assert saved
+    saved += [(v, list(v.items())) for v in normal._ORIENT.values()]
+    for x in inputs:
+        out, trace = normalize(x)
+        assert check_trace(x, out, trace, explain=True)
+        if trace.steps:
+            with pytest.raises(FuelExhausted):
+                normalize(x, fuel=len(trace.steps) // 2)
+    for x in inputs[-3:]:
+        argv = ["normalize", render_lincomb(x), "--gens", "a,b", "--trace",
+                str(tmp_path / "trace.jsonl")]
+        assert main(argv) == 0
+    for v, items in saved:
+        assert list(v.items()) == items
 
 
 def a_t():
