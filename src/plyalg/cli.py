@@ -15,7 +15,8 @@ import sys
 from .bases import (cmp_t, enumerate_Bhat, enumerate_S, enumerate_Shat,
                     enumerate_T, phi_inv_lin, phi_lin, shat_to_t, to_shat)
 from .exprs import (ElabError, ParseError, lincomb_json, parse_algebra,
-                    parse_tensor, render_lincomb, render_term, render_word)
+                    parse_tensor, render_lincomb, render_term, render_word,
+                    tokenize)
 from .normal import (DEFAULT_FUEL, FuelExhausted, InternalRewriteError,
                      OrderConflictError, enumerate_B, enumerate_B_lat, normalize)
 from .orders import cmp_shat
@@ -39,6 +40,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _size(k):
+    if not 1 <= k <= 26:
+        raise UsageError("--gens must be a size from 1 to 26, got %d" % k)
+    return k
+
+
 def _alphabet(spec):
     if spec is None:
         return None
@@ -51,25 +58,18 @@ def _alphabet(spec):
         if len(set(names)) != len(names):
             raise UsageError("--gens repeats a generator name")
         return Alphabet(names)
-    if not 1 <= k <= 26:
-        raise UsageError("--gens must be a size from 1 to 26, got %d" % k)
-    return Alphabet.of_size(k)
+    return Alphabet.of_size(_size(k))
 
 
 def _infer_alphabet(texts):
-    import re
+    """The identifiers not followed by ``(`` (those the reader takes for
+    generators), in alphabetical order; ``a`` alone when there are none."""
     names = set()
-    funcs = {"bk", "tb", "gr", "sg", "s", "w", "tri", "lb"}
     for text in texts:
-        for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*(\s*\()?", text):
-            tok = m.group(0)
-            if tok.endswith("("):
-                continue
-            if tok not in funcs:
-                names.add(tok)
-    if not names:
-        names = {"a"}
-    return Alphabet(sorted(names))
+        toks = tokenize(text)
+        names.update(t[1] for t, nxt in zip(toks, toks[1:])
+                     if t[0] == "ident" and nxt[0] != "(")
+    return Alphabet(sorted(names or {"a"}))
 
 
 def _emit_lincomb(x, use_json, order=None):
@@ -265,7 +265,8 @@ def run(argv):
         if args.samples is not None:
             kwargs["samples"] = args.samples
         if args.gens is not None:
-            kwargs["gens"] = len(_alphabet(args.gens))
+            # the suites build their own alphabet of this size
+            kwargs["gens"] = _size(len(_alphabet(args.gens)))
         passed, report = fn(**kwargs)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if passed else 3

@@ -9,10 +9,13 @@ Grammar (whitespace insignificant)::
     funcs  := bk(e,e) | tb(e,e,e) | gr(e,..; e) | sg(e,..; e)
               | s(e,...) | w(e,...) | tri(e,e) | lb(e,e)
 
-Identifiers are generators. ``gr``/``sg`` take branches, then ``;``, then a
-root that must elaborate to generators and brackets. Values are either
-algebra elements (combinations over the planar-tree basis) or tensor
-elements (combinations over words of tree-basis terms).
+An identifier not followed by ``(`` is a generator. ``gr``/``sg`` take
+branches, then ``;``, then a root that must evaluate to generators and
+brackets. Values are either algebra elements (combinations over the
+planar-tree basis) or tensor elements (combinations over words of tree-basis
+terms). Text is read in one pass that evaluates each rule as it reads it, so
+the first error in reading order is the one reported, and at most
+``MAX_NESTING`` calls may be open at once.
 """
 from __future__ import annotations
 
@@ -24,6 +27,13 @@ from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb,
 from .tensor import (graft_product, letters_to_words, lie_word, symmetrize,
                      tensor_mul, tree_brk, triangle, triple_bracket, unit,
                      word_act_trees, words_to_letters)
+
+# Most calls that may be open at once. The reader takes 3 frames per open
+# call and the engine up to 5 per level of the term it converts, against the
+# default recursion limit of 1000. With no limit, called from 150 frames
+# deep on CPython 3.10, `gr(gr(...; a); a)` normalizes up to depth 167 and
+# `bk(a, bk(a, ...))` up to 209.
+MAX_NESTING = 150
 
 
 class ParseError(Exception):
@@ -58,9 +68,9 @@ def tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             toks.append(("int", text[i:j], line, col))
             col += j - i
@@ -79,10 +89,16 @@ def tokenize(text):
     return toks
 
 
-class Parser:
-    def __init__(self, text):
+class _Reader:
+    """Recursive descent over the tokens of one text. Each rule evaluates as
+    it reads and returns ("A" | "D", LinComb): an algebra or a tensor
+    element."""
+
+    def __init__(self, text, alphabet):
         self.toks = tokenize(text)
         self.pos = 0
+        self.alphabet = alphabet
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -99,26 +115,32 @@ class Parser:
                              t[2], t[3])
         return t
 
-    def parse(self):
-        e = self.parse_expr()
+    def read(self):
+        v = self.expr()
         t = self.peek()
         if t[0] != "eof":
             raise ParseError("unexpected %r" % t[1], t[2], t[3])
-        return e
+        return v
 
-    def parse_expr(self):
-        parts = [(1, self.parse_term())]
+    def expr(self):
+        # every rule returns a new combination, so a sum accumulates into
+        # its first term; one tensor part makes the whole sum a tensor
+        kind, out = self.term()
         while self.peek()[0] in "+-":
             sign = 1 if self.next()[0] == "+" else -1
-            parts.append((sign, self.parse_term()))
-        return ("sum", parts)
+            k, v = self.term()
+            if k != kind:
+                kind, out, v = "D", _as_d(kind, out), _as_d(k, v)
+            out.add_in(v, sign)
+        return kind, out
 
-    def parse_term(self):
+    def term(self):
         sign = 1
         while self.peek()[0] == "-":
             self.next()
             sign = -sign
         t = self.peek()
+        coeff = 1
         if t[0] == "int":
             num = int(self.next()[1])
             if self.peek()[0] == "/":
@@ -130,49 +152,42 @@ class Parser:
                 coeff = Fraction(num, den)
             else:
                 coeff = num
-            if self.peek()[0] == "*":
-                self.next()
-                return ("scaled", sign * coeff, self.parse_atom())
-            if coeff == 0:
-                return ("zero",)
-            raise ParseError("a bare number is not an element (write c * expr)",
-                             t[2], t[3])
-        return ("scaled", sign, self.parse_atom())
+            if self.peek()[0] != "*":
+                if coeff == 0:
+                    return "A", LinComb()
+                raise ParseError("a bare number is not an element (write c * expr)",
+                                 t[2], t[3])
+            self.next()
+        k, v = self.atom()
+        return k, v if sign * coeff == 1 else v.scale(sign * coeff)
 
-    def parse_atom(self):
-        t = self.expect("ident")
-        name = t[1]
+    def atom(self):
+        _, name, line, col = self.expect("ident")
         if self.peek()[0] != "(":
-            return ("gen", name, t[2], t[3])
-        self.next()
-        args, roots = [], None
+            g = self.alphabet.by_name.get(name)
+            if g is None:
+                raise ElabError("unknown generator %r (line %d, column %d)"
+                                % (name, line, col))
+            return "A", LinComb.of(g)
+        paren = self.next()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("expression nested too deeply", paren[2], paren[3])
+        vals, rvals = [], None
         if self.peek()[0] != ")":
-            current = args
-            current.append(self.parse_expr())
+            current = vals
+            current.append(self.expr())
             while self.peek()[0] in (",", ";"):
                 sep = self.next()
                 if sep[0] == ";":
-                    if roots is not None:
+                    if rvals is not None:
                         raise ParseError("only one ';' allowed", sep[2], sep[3])
-                    roots = []
-                    current = roots
-                    current.append(self.parse_expr())
-                else:
-                    current.append(self.parse_expr())
+                    rvals = current = []
+                current.append(self.expr())
         self.expect(")")
-        return ("call", name, args, roots, t[2], t[3])
+        self.depth -= 1
+        return _call(name, vals, rvals, line, col)
 
-
-def parse(text):
-    p = Parser(text)
-    try:
-        return p.parse()
-    except RecursionError:
-        t = p.peek()
-        raise ParseError("expression nested too deeply", t[2], t[3]) from None
-
-
-# -- elaboration ------------------------------------------------------------------
 
 def _as_d(kind, val):
     return val if kind == "D" else letters_to_words(val)
@@ -181,10 +196,9 @@ def _as_d(kind, val):
 def _as_a(kind, val, what="expression"):
     if kind == "A":
         return val
-    try:
-        return words_to_letters(val)
-    except AssertionError:
+    if any(len(w) != 1 for w in val):
         raise ElabError("%s is a tensor element, not an algebra element" % what)
+    return words_to_letters(val)
 
 
 def _root_check(val, fn, line, col):
@@ -196,40 +210,9 @@ def _root_check(val, fn, line, col):
     return val
 
 
-def elaborate(ast, alphabet):
-    """Evaluate an AST to ("A" | "D", LinComb)."""
-    kind = ast[0]
-    if kind == "sum":
-        kinds, vals = [], []
-        for sign, part in ast[1]:
-            k, v = elaborate(part, alphabet)
-            kinds.append(k)
-            vals.append(v if sign > 0 else -v)
-        if all(k == "A" for k in kinds):
-            out = LinComb()
-            for v in vals:
-                out += v
-            return "A", out
-        out = LinComb()
-        for k, v in zip(kinds, vals):
-            out += _as_d(k, v)
-        return "D", out
-    if kind == "zero":
-        return "A", LinComb()
-    if kind == "scaled":
-        k, v = elaborate(ast[2], alphabet)
-        return k, v.scale(ast[1])
-    if kind == "gen":
-        name = ast[1]
-        g = alphabet.by_name.get(name)
-        if g is None:
-            raise ElabError("unknown generator %r (line %d, column %d)"
-                            % (name, ast[2], ast[3]))
-        return "A", LinComb.of(g)
-    assert kind == "call"
-    _, fn, args, roots, line, col = ast
-    vals = [elaborate(a, alphabet) for a in args]
-    rvals = [elaborate(r, alphabet) for r in roots] if roots is not None else None
+def _call(fn, vals, rvals, line, col):
+    """The value of ``fn`` applied to the read arguments ``vals`` and, after
+    a ``;``, ``rvals``."""
 
     def need(n, with_root=False):
         if with_root:
@@ -277,23 +260,14 @@ def elaborate(ast, alphabet):
     raise ElabError("unknown function %r (line %d, column %d)" % (fn, line, col))
 
 
-def _evaluate(text, alphabet):
-    ast = parse(text)
-    try:
-        return elaborate(ast, alphabet)
-    except RecursionError:
-        raise ElabError("expression nested too deeply to elaborate") from None
-
-
 def parse_algebra(text, alphabet):
-    """Parse and elaborate to an algebra element (tree-basis combination)."""
-    k, v = _evaluate(text, alphabet)
-    return _as_a(k, v, what="input")
+    """Read text to an algebra element (tree-basis combination)."""
+    return _as_a(*_Reader(text, alphabet).read(), what="input")
 
 
 def parse_tensor(text, alphabet):
-    """Parse and elaborate to a tensor element (word combination)."""
-    return _as_d(*_evaluate(text, alphabet))
+    """Read text to a tensor element (word combination)."""
+    return _as_d(*_Reader(text, alphabet).read())
 
 
 # -- printing ---------------------------------------------------------------------
@@ -352,31 +326,22 @@ def render_word(w, order):
     return "w(%s)" % ", ".join(items)
 
 
-def _term_sort_key(order):
-    if order is None:
-        return canon_key
-    return cmp_to_key(order)
+def _sorted_items(x, order):
+    """The items of ``x`` by descending ``order`` (a comparison), or by
+    descending ``canon_key`` when ``order`` is None."""
+    key = canon_key if order is None else cmp_to_key(order)
+    return sorted(x.items(), key=lambda tc: key(tc[0]), reverse=True)
 
 
-def render_lincomb(x, order=None, descending=True):
+def render_lincomb(x, order=None):
     """Canonical text for a combination; parses back to an equal value."""
     if not x:
         return "0"
-    items = sorted(x.items(), key=lambda tc: _term_sort_key(order)(tc[0]),
-                   reverse=descending)
-    parts = []
-    for t, c in items:
-        if c == 1:
-            parts.append(render_term(t))
-        else:
-            parts.append("%s * %s" % (c, render_term(t)))
-    return " + ".join(parts)
+    return " + ".join(render_term(t) if c == 1 else "%s * %s" % (c, render_term(t))
+                      for t, c in _sorted_items(x, order))
 
 
-def lincomb_json(x, order=None, descending=True):
+def lincomb_json(x, order=None):
     """JSON-ready dict with string coefficients (no precision loss)."""
-    if not x:
-        return {"terms": []}
-    items = sorted(x.items(), key=lambda tc: _term_sort_key(order)(tc[0]),
-                   reverse=descending)
-    return {"terms": [{"coeff": str(c), "expr": render_term(t)} for t, c in items]}
+    return {"terms": [{"coeff": str(c), "expr": render_term(t)}
+                      for t, c in _sorted_items(x, order)]}

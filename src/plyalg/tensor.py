@@ -136,14 +136,14 @@ def tree_brk(u, v):
     return multilinear(lambda x, y: LinComb.of(brk(x, y)), u, v)
 
 
-def associator(x, y, z, mul=tree_mul):
+def associator(x, y, z):
     """a(x,y,z) = x ▷ (y ▷ z) − (x ▷ y) ▷ z."""
-    return mul(x, mul(y, z)) - mul(mul(x, y), z)
+    return tree_mul(x, tree_mul(y, z)) - tree_mul(tree_mul(x, y), z)
 
 
-def triple_bracket(x, y, z, mul=tree_mul):
+def triple_bracket(x, y, z):
     """[x,y,z] = a(x,y,z) − a(y,x,z); antisymmetric in the first two slots."""
-    return associator(x, y, z, mul) - associator(y, x, z, mul)
+    return associator(x, y, z) - associator(y, x, z)
 
 
 def word_act_trees(w, v):

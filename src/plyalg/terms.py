@@ -227,9 +227,6 @@ def word_key(w):
             tuple(canon_key(s) for s in w.tail))
 
 
-EMPTY_WORD = osbb_word((), ())
-
-
 def vertex_count(t):
     """Number of generator occurrences in the term."""
     return t.vc
@@ -407,9 +404,6 @@ class LinComb:
         for t, c in self.terms.items():
             out.add_in(f(t), c)
         return out
-
-    def sorted_items(self, key=canon_key, reverse=False):
-        return sorted(self.terms.items(), key=lambda tc: key(tc[0]), reverse=reverse)
 
     def __repr__(self):
         from .exprs import render_lincomb

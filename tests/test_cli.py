@@ -1,9 +1,15 @@
 """Command-line behavior: outputs, exit codes, determinism, trace files."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plyalg
 from plyalg.cli import main
+from plyalg.exprs import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -95,6 +101,7 @@ def test_usage_error_exit_1(capsys):
     ("enum", "--basis", "B", "--n", "-1"),
     ("dims", "--basis", "T", "--max-n", "3", "--gens", "0"),
     ("dims", "--basis", "T", "--max-n", "2", "--gens", "27"),
+    ("check", "--suite", "census", "--gens", ",".join("g%d" % i for i in range(27))),
     ("normalize", "a", "--gens", "a,a"),
     ("check", "--suite", "osbb-roundtrip", "--gens", "0"),
     ("dims", "--basis", "B", "--max-n", "0"),
@@ -110,7 +117,8 @@ def test_usage_error_exit_1(capsys):
     ("check", "--suite", "census", "--samples", "-1"),
     ("normalize", "a", "--fuel", "-5"),
     ("ly", "a", "a", "a", "--fuel", "-3"),
-], ids=["n-0", "n-negative", "gens-0", "gens-27", "gens-repeated", "check-gens-0",
+], ids=["n-0", "n-negative", "gens-0", "gens-27", "check-gens-27-names",
+        "gens-repeated", "check-gens-0",
         "max-n-0", "ply-axioms-max-vertices-0", "ly-axioms-max-vertices-0",
         "lts-hall-max-vertices-negative", "osbb-roundtrip-max-vertices-0",
         "census-max-vertices-0", "ply-axioms-samples-negative",
@@ -133,14 +141,87 @@ def test_elab_error_exit_1(capsys):
     assert code == 1
 
 
+def _nested(depth):
+    return "bk(a, " * depth + "a" + ")" * depth
+
+
+def _from_depth(frames, f):
+    # call f with about this many more frames on the stack
+    return f() if frames <= 0 else _from_depth(frames - 1, f)
+
+
 def test_deep_nesting_exit_1(capsys):
-    # too deep for the recursive parser (400) or for elaboration (270)
+    # one call past the limit fails at the '(' that crosses it
+    code, out, err = run(capsys, "normalize", _nested(MAX_NESTING + 1))
+    assert code == 1 and not out
+    assert err == ("error: expression nested too deeply (line 1, column %d)\n"
+                   % (6 * MAX_NESTING + 3))
     for depth in (270, 400):
-        text = "bk(a, " * depth + "a" + ")" * depth
-        code, out, err = run(capsys, "normalize", text)
+        code, out, err = run(capsys, "normalize", _nested(depth))
         assert code == 1 and not out
         assert err.startswith("error: expression nested too deeply")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("frames", [0, 150])
+def test_nesting_limit_normalizes(capsys, frames):
+    code, out, err = _from_depth(frames, lambda: run(capsys, "normalize",
+                                                      _nested(MAX_NESTING)))
+    assert (code, out, err) == (0, "0\n", "")
+
+
+# one malformed input per message; an input with two faults, 'bk(c, a',
+# reports the first in reading order
+@pytest.mark.parametrize("argv, line", [
+    (("$",), "unexpected character '$' (line 1, column 1)"),
+    # a digit to str.isdigit, but not a decimal that int() reads
+    (("²",), "unexpected character '²' (line 1, column 1)"),
+    (("bk(a,",), "expected 'ident', found 'end of input' (line 1, column 6)"),
+    (("bk(a a)",), "expected ')', found 'a' (line 1, column 6)"),
+    (("a a",), "unexpected 'a' (line 1, column 3)"),
+    (("1/0*a",), "zero denominator (line 1, column 3)"),
+    (("3",), "a bare number is not an element (write c * expr) (line 1, column 1)"),
+    (("bk(a; a; a)",), "only one ';' allowed (line 1, column 8)"),
+    (("bk(a, b)", "--gens", "a"), "unknown generator 'b' (line 1, column 7)"),
+    (("bk(a)", "--gens", "a"), "bk expects 2 arguments, got 1 (line 1, column 1)"),
+    (("bk(a; a)", "--gens", "a"), "bk takes no ';' part (line 1, column 1)"),
+    (("gr(a)", "--gens", "a"), "gr expects branches ';' root (line 1, column 1)"),
+    (("gr(a; gr(a; a))", "--gens", "a"),
+     "gr root must elaborate to generators or brackets (line 1, column 1)"),
+    (("gr(s(); a)", "--gens", "a"), "gr needs at least one branch (line 1, column 1)"),
+    (("foo(a)", "--gens", "a"), "unknown function 'foo' (line 1, column 1)"),
+    (("w(a, a)", "--gens", "a"), "input is a tensor element, not an algebra element"),
+    (("bk(w(a, a), a)", "--gens", "a"),
+     "expression is a tensor element, not an algebra element"),
+    (("gr(a; w(a, a))", "--gens", "a"), "gr root is a tensor element, not an algebra element"),
+    (("bk(c, a", "--gens", "a"), "unknown generator 'c' (line 1, column 4)"),
+], ids=["character", "non-decimal-digit", "expected-ident", "expected-paren",
+        "trailing", "zero-denominator", "bare-number", "two-semicolons", "unknown-generator", "arity", "no-root-part",
+        "needs-root", "root-kind", "no-branch", "unknown-function", "tensor-input",
+        "tensor-argument", "tensor-root", "first-error-in-reading-order"])
+def test_error_messages(capsys, argv, line):
+    code, out, err = run(capsys, "normalize", *argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % line)
+
+
+@pytest.mark.parametrize("text", ["w(a, a)", "bk(w(a, a), a)"])
+def test_tensor_as_algebra_exit_1_under_optimize(text):
+    # the check must not be an assert, which python -O strips
+    env = dict(os.environ, PYTHONPATH=str(Path(plyalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "plyalg.cli", "normalize", text],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.endswith("is a tensor element, not an algebra element\n")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, gens", [("bk(s, t)", "s,t"), ("bk(β, α)", "α,β"),
+                                        ("gr(bk; w)", "bk,w")])
+def test_inferred_generators_match_gens(capsys, text, gens):
+    # without --gens, every identifier not followed by '(' is a generator,
+    # function names included
+    inferred = run(capsys, "normalize", text)
+    assert inferred[0] == 0 and inferred == run(capsys, "normalize", text, "--gens", gens)
 
 
 @pytest.mark.parametrize("cmd", ["normalize", "osbb", "phi"])

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from plyalg.bases import from_shat, t_value
-from plyalg.exprs import (ElabError, ParseError, parse, parse_algebra,
-                          parse_tensor, render_lincomb, render_term,
-                          lincomb_json)
+from plyalg.exprs import (ElabError, ParseError, parse_algebra, parse_tensor,
+                          render_lincomb, render_term, lincomb_json)
 from plyalg.normal import enumerate_B
 from plyalg.bases import enumerate_S, enumerate_Shat
 from plyalg.terms import Alphabet, LinComb, brk, graft
@@ -38,14 +37,14 @@ def test_whitespace_insensitive():
 
 def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as e1:
-        parse("bk(a,")
+        parse_algebra("bk(a,", A1)
     assert "column" in str(e1.value)
     with pytest.raises(ParseError):
-        parse("3")
+        parse_algebra("3", A1)
     with pytest.raises(ParseError):
-        parse("bk(a; a; a)")
+        parse_algebra("bk(a; a; a)", A1)
     with pytest.raises(ParseError):
-        parse("$")
+        parse_algebra("$", A1)
 
 
 def test_elab_errors():
