@@ -238,7 +238,8 @@ def term_basis(t):
 
 
 def any_to_t(x):
-    """Triple-basis coordinates of a combination given in any basis."""
+    """Triple-basis coordinates of a combination given in any basis. The
+    rewrite reaches it through ``normal._to_t``, which caches it per term."""
     if not isinstance(x, LinComb):
         x = LinComb.of(x)
 

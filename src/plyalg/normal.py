@@ -25,12 +25,13 @@ as it is. Otherwise both stay in ``_match`` as the statement of ``is_B``.
 
 Each rule application is one trace step whose replacement is a deterministic
 function of the term, so ``normalize`` memoizes it per term (``_step``) and
-traces can be checked by recomputation: ``check_trace`` recomputes every
-step and never reads that memo. A step keeps the term's one-step image, not
-the working set, which ``check_trace`` rebuilds by replay. ``plyalg
-normalize --trace FILE`` writes format 3: a header with ``"format": 3`` and
-the hash of the oriented input, then per step an ``after_hash`` of that
-image.
+traces can be checked by recomputation: ``check_trace`` recomputes every step
+without reading that memo, though it shares the conversion and product memos
+(``_BH2T``, ``_TMUL``) with ``normalize``. A step keeps the term's one-step
+image, not the working set, which ``check_trace`` rebuilds by replay.
+``plyalg normalize --trace FILE`` writes format 3: a header with
+``"format": 3`` and the hash of the oriented input, then per step an
+``after_hash`` of that image.
 """
 from __future__ import annotations
 
@@ -40,8 +41,7 @@ from fractions import Fraction
 from dataclasses import dataclass
 
 from . import hall
-from .bases import (any_to_t, cmp_hall_t, cmp_t, enumerate_T, shat_to_t,
-                    t_key, t_value, t_value_lin, to_shat)
+from .bases import any_to_t, cmp_hall_t, cmp_t, enumerate_T, t_key, t_value, t_value_lin
 from .tensor import tree_mul, word_lincomb, word_act_trees
 from .terms import (BRK, GEN, SYMGRAFT, TRIPLE, LinComb, brk, canon_key,
                     has_bracket, memo, multilinear, subterms, symgraft, triple)
@@ -142,12 +142,10 @@ _BH2T = {}
 
 
 @memo(_BH2T)
-def _bhat_to_t(t):
-    return shat_to_t(to_shat(t)).map_terms(_orient)
-
-
-def _bhat_lc_to_t(x):
-    return x.map_terms(_bhat_to_t)
+def _to_t(t):
+    """``t``, of any basis, in triple-basis coordinates with its brackets
+    oriented: the one route into them, for ``_start`` and the products."""
+    return any_to_t(t).map_terms(_orient)
 
 
 _TMUL = {}
@@ -156,7 +154,7 @@ _TMUL = {}
 @memo(_TMUL)
 def t_mul(x, y):
     """Free triangle product of two triple-basis terms, in triple coordinates."""
-    return _bhat_lc_to_t(tree_mul(t_value(x), t_value(y)))
+    return tree_mul(t_value(x), t_value(y)).map_terms(_to_t)
 
 
 def t_mul_lin(X, Y):
@@ -167,7 +165,7 @@ def t_word_action(words, target):
     """A combination of words of triple-basis letters acting on a combination
     (exact free evaluation)."""
     bw = words.map_terms(lambda w: word_lincomb([t_value(l) for l in w]))
-    return _bhat_lc_to_t(word_act_trees(bw, t_value_lin(target)))
+    return word_act_trees(bw, t_value_lin(target)).map_terms(_to_t)
 
 
 def triple_of(y, z, w):
@@ -452,8 +450,8 @@ def head_rewrite(s):
 
 def _start(x):
     """The working set a rewrite starts from: ``x`` in triple-basis
-    coordinates, every bracket oriented."""
-    return any_to_t(x).map_terms(_orient)
+    coordinates, every bracket oriented, as a fresh combination."""
+    return (x if isinstance(x, LinComb) else LinComb.of(x)).map_terms(_to_t)
 
 
 _STEP = {}
@@ -527,7 +525,8 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
 def check_trace(input_lc, output_lc, trace, explain=False):
     """Replay a trace: every step's rule and one-step image are recomputed
     from its term and path, and the image replaces the term in the working
-    set, which must end equal to the output."""
+    set, which must end equal to the output. It never reads ``_STEP``, but
+    shares ``_BH2T`` and ``_TMUL`` with ``normalize``."""
 
     def fail(msg):
         if explain:

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from plyalg import bases, hall, normal
-from plyalg.bases import any_to_t, cmp_hall_t, enumerate_Bhat, enumerate_T, t_key
+from plyalg.bases import (any_to_t, cmp_hall_t, enumerate_Bhat, enumerate_Shat, enumerate_T,
+                          shat_to_t, t_key, t_value, to_shat)
 from plyalg.cli import main
 from plyalg.exprs import render_lincomb
 from plyalg.normal import (FuelExhausted, RewriteStep, RewriteTrace, check_trace,
@@ -336,6 +337,10 @@ def test_step_memo_not_mutated(tmp_path):
     saved = [(v[3], list(v[3].items())) for v in normal._STEP.values()]
     assert saved
     saved += [(v, list(v.items())) for v in normal._ORIENT.values()]
+    # the conversion cache too: ``check_trace`` pops terms out of ``_start``'s
+    # result, so that must never be one of the cached images
+    assert normal._BH2T
+    saved += [(v, list(v.items())) for v in normal._BH2T.values()]
     for x in inputs:
         out, trace = normalize(x)
         assert check_trace(x, out, trace, explain=True)
@@ -348,6 +353,56 @@ def test_step_memo_not_mutated(tmp_path):
         assert main(argv) == 0
     for v, items in saved:
         assert list(v.items()) == items
+
+
+def test_conversion_cache_agrees():
+    # ``_start`` converts term by term through ``_to_t``'s cache; converting
+    # the whole combination, then orienting it, is the oracle
+    def oracle(x):
+        return any_to_t(x).map_terms(normal._orient)
+
+    pools = [[t for n in range(1, 5) for t in enum(n, A1)]
+             for enum in (enumerate_Bhat, enumerate_Shat, enumerate_T)]
+    for t in itertools.chain(*pools):
+        x = LinComb.of(t)
+        assert normal._start(x) == oracle(x), t
+    rng = random.Random(46)
+    pools = [[t for n in range(1, 6) for t in enum(n, A2)]
+             for enum in (enumerate_Bhat, enumerate_Shat, enumerate_T)]
+    for _ in range(40):
+        x = LinComb()
+        for pool in rng.sample(pools, rng.randint(2, 3)):
+            x.add_in(LinComb.of(rng.choice(pool), Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))))
+        assert normal._start(x) == oracle(x), x
+    # one element in two bases cancels
+    t = rng.choice(pools[2])
+    assert normal._start(LinComb.of(t) - t_value(t)) == LinComb.zero()
+
+
+def test_t_mul_matches_round_trip():
+    # products through the conversion cache equal the round trip through
+    # trees: OSBB decomposition, triangular solve, then orientation; every
+    # pair of triple-basis terms whose product has at most 5 vertices over
+    # one generator, at most 4 over two
+    for alphabet, grade in ((A1, 5), (A2, 4)):
+        pool = [t for n in range(1, grade) for t in enumerate_T(n, alphabet)]
+        pairs = [(x, y) for x, y in itertools.product(pool, repeat=2) if x.vc + y.vc <= grade]
+        for x, y in pairs:
+            want = shat_to_t(to_shat(tree_mul(t_value(x), t_value(y)))).map_terms(normal._orient)
+            assert normal.t_mul(x, y) == want, (x, y)
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
+    "exprs.MAX_NESTING guards text only: a term built through the terms "
+    "constructors recurses a few Python frames per level of the term, so a "
+    "deep one exceeds the interpreter's recursion limit: from 248 levels on "
+    "3.10 and 3.11, from 331 on 3.12"))
+def test_deep_library_term_normalizes():
+    t = a
+    for _ in range(400):
+        t = brk(a, t)
+    # the innermost [[a,a]] is 0, so the whole chain is
+    assert normalize(LinComb.of(t))[0] == LinComb.zero()
 
 
 def a_t():
@@ -535,7 +590,7 @@ def test_no_integral_fraction_in_pipeline():
         assert_exact_coefficients(out)
         for step in trace.steps:
             assert_exact_coefficients(step.after)
-    for table in (normal._TMUL, normal._E2, normal._E3, bases._S2T):
+    for table in (normal._BH2T, normal._TMUL, normal._E2, normal._E3, bases._S2T):
         assert table
         for v in table.values():
             assert_exact_coefficients(v)
