@@ -282,8 +282,9 @@ def beta_count(n, k):
     return 2 ** (n - 1) * alpha_count(n, k)
 
 
-def _multisets_with_vc(m, pool):
-    """All multisets (tuples, pool order) of pool elements with total vc m."""
+def _branch_tuples(m, pool, ordered):
+    """All tuples of pool elements with total vc m: every sequence if
+    ``ordered``, else every multiset once, in pool order."""
     pool = [t for t in pool if t.vc <= m]
     out = []
 
@@ -291,7 +292,7 @@ def _multisets_with_vc(m, pool):
         if rem == 0:
             out.append(tuple(acc))
             return
-        for j in range(i, len(pool)):
+        for j in range(0 if ordered else i, len(pool)):
             if pool[j].vc <= rem:
                 acc.append(pool[j])
                 rec(j, rem - pool[j].vc, acc)
@@ -301,23 +302,29 @@ def _multisets_with_vc(m, pool):
     return out
 
 
-def _sequences_with_vc(m, pool):
-    """All ordered sequences of pool elements with total vc m."""
-    pool = [t for t in pool if t.vc <= m]
-    out = []
-
-    def rec(rem, acc):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        for t in pool:
-            if t.vc <= rem:
-                acc.append(t)
-                rec(rem - t.vc, acc)
-                acc.pop()
-
-    rec(m, [])
-    return out
+def _graded(grade, n, alphabet, brackets, tree):
+    """The n-vertex elements of the basis that ``grade(k, alphabet)`` lists:
+    the generators at n = 1; else the brackets of two lower grades (if
+    ``brackets``) and the words of lower grades grafted onto a generator or
+    bracket root. The tree basis (``tree``) grafts sequences and is sorted
+    by ``canon_key``; a block basis grafts the OSBB words of multisets and
+    is sorted by ``shat_key``."""
+    assert n >= 1
+    if n == 1:
+        return tuple(alphabet.gens)
+    node, key = (graft, canon_key) if tree else (ograft, shat_key)
+    items = [brk(x, y) for i in range(1, n) if brackets
+             for x in grade(i, alphabet) for y in grade(n - i, alphabet)]
+    pool = [t for k in range(1, n) for t in grade(k, alphabet)]
+    for rvc in range(1, n):
+        roots = (alphabet.gens if rvc == 1 else
+                 [t for t in grade(rvc, alphabet) if t.kind == BRK])
+        if not roots:
+            continue
+        for b in _branch_tuples(n - rvc, pool, tree):
+            for w in ((b,) if tree else osbb.words_for_multiset(b, cmp_shat)):
+                items.extend(node(w, r) for r in roots)
+    return tuple(sort_by(items, key))
 
 
 _S_GRADE, _SHAT_GRADE, _BHAT_GRADE = {}, {}, {}
@@ -326,59 +333,19 @@ _S_GRADE, _SHAT_GRADE, _BHAT_GRADE = {}, {}, {}
 @memo(_S_GRADE)
 def enumerate_S(n, alphabet):
     """One-operator basis elements with n vertices, in increasing order."""
-    assert n >= 1
-    if n == 1:
-        return tuple(alphabet.gens)
-    pool = [t for k in range(1, n) for t in enumerate_S(k, alphabet)]
-    items = []
-    for ms in _multisets_with_vc(n - 1, pool):
-        for w in osbb.words_for_multiset(ms, cmp_shat):
-            for c in alphabet.gens:
-                items.append(ograft(w, c))
-    return tuple(sort_by(items, shat_key))
+    return _graded(enumerate_S, n, alphabet, False, False)
 
 
 @memo(_SHAT_GRADE)
 def enumerate_Shat(n, alphabet):
     """Two-operator block-basis elements with n vertices, in increasing order."""
-    assert n >= 1
-    if n == 1:
-        return tuple(alphabet.gens)
-    items = []
-    for i in range(1, n):
-        for x in enumerate_Shat(i, alphabet):
-            for y in enumerate_Shat(n - i, alphabet):
-                items.append(brk(x, y))
-    pool = [t for k in range(1, n) for t in enumerate_Shat(k, alphabet)]
-    for rvc in range(1, n):
-        roots = (alphabet.gens if rvc == 1 else
-                 [t for t in enumerate_Shat(rvc, alphabet) if t.kind == BRK])
-        for ms in _multisets_with_vc(n - rvc, pool):
-            for w in osbb.words_for_multiset(ms, cmp_shat):
-                for r in roots:
-                    items.append(ograft(w, r))
-    return tuple(sort_by(items, shat_key))
+    return _graded(enumerate_Shat, n, alphabet, True, False)
 
 
 @memo(_BHAT_GRADE)
 def enumerate_Bhat(n, alphabet):
     """Two-operator tree-basis elements with n vertices (canonical order)."""
-    assert n >= 1
-    if n == 1:
-        return tuple(alphabet.gens)
-    items = []
-    for i in range(1, n):
-        for x in enumerate_Bhat(i, alphabet):
-            for y in enumerate_Bhat(n - i, alphabet):
-                items.append(brk(x, y))
-    pool = [t for k in range(1, n) for t in enumerate_Bhat(k, alphabet)]
-    for rvc in range(1, n):
-        roots = (alphabet.gens if rvc == 1 else
-                 [t for t in enumerate_Bhat(rvc, alphabet) if t.kind == BRK])
-        for seq in _sequences_with_vc(n - rvc, pool):
-            for r in roots:
-                items.append(graft(seq, r))
-    return tuple(sorted(items, key=canon_key))
+    return _graded(enumerate_Bhat, n, alphabet, True, True)
 
 
 def enumerate_T(n, alphabet):

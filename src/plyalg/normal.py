@@ -2,9 +2,9 @@
 free post-Lie-Yamaguti algebra, with replayable rewrite traces.
 
 The working representation is the triple basis. The worklist is a priority
-queue of the terms outside the target basis, and a strategy is its priority.
-Each step pops a term, locates its innermost reducible subterm, and applies
-the rule that ``_match`` finds there:
+queue of the terms outside the target basis, largest first. Each step pops a
+term, locates its innermost reducible subterm, and applies the rule that
+``_match`` finds there:
 
   PLY1        reorder or kill a bracket
   PLY2        push a symmetric word through a bracket root
@@ -23,19 +23,18 @@ slots of an input triple, which orienting them can put out of order, and
 PLY1 never inside ``normalize``, only on a term handed to ``head_rewrite``
 as it is. Otherwise both stay in ``_match`` as the statement of ``is_B``.
 
-Each rule application is one trace step whose replacement is a deterministic
-function of the term, so ``normalize`` memoizes it per term (``_step``) and
-traces can be checked by recomputation: ``check_trace`` recomputes every step
-without reading that memo, though it shares the conversion and product memos
-(``_BH2T``, ``_TMUL``) with ``normalize``. A step keeps the term's one-step
-image, not the working set, which ``check_trace`` rebuilds by replay.
+Each rule application is one trace step, a deterministic function of the
+term (``_rewrite_step``): ``normalize`` records its result memoized per term
+(``_step``), and ``check_trace`` replays it by calling the same function
+unmemoized, so it never reads that memo, though it shares the conversion and
+product memos (``_BH2T``, ``_TMUL``) with ``normalize``. A step keeps the
+term's one-step image, not the working set, which ``check_trace`` rebuilds.
 ``plyalg normalize --trace FILE`` writes format 3: a header with
 ``"format": 3`` and the hash of the oriented input, then per step an
 ``after_hash`` of that image.
 """
 from __future__ import annotations
 
-import random
 from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from dataclasses import dataclass
@@ -71,7 +70,9 @@ class FuelExhausted(Exception):
 class RewriteStep:
     """``term``, with coefficient c, leaves the working set and c times
     ``after`` comes in: its one-step image ``subst(term, path, repl)``,
-    hashed as ``after_hash`` in the trace file (format 3)."""
+    hashed as ``after_hash`` in the trace file (format 3). A step is the
+    value of ``_rewrite_step(term)``, and replays as that function's
+    unmemoized result, equal in every field."""
     rule: str
     term: object          # the working term that was rewritten
     path: tuple           # position of the redex inside it
@@ -108,19 +109,15 @@ def is_B(t):
             and all(is_B(c) for _, c in subterms(t)) and _match(t) is None)
 
 
-def is_B_lat(t):
-    """Bracket-free basis elements: the basis of the Lie admissible triple
-    quotient."""
-    return is_B(t) and not has_bracket(t)
-
-
 def enumerate_B(n, alphabet):
     """Basis elements with n vertices, in increasing order."""
     return tuple(t for t in enumerate_T(n, alphabet) if is_B(t))
 
 
 def enumerate_B_lat(n, alphabet):
-    return tuple(t for t in enumerate_T(n, alphabet) if is_B_lat(t))
+    """Bracket-free basis elements: the basis of the Lie admissible triple
+    quotient."""
+    return tuple(t for t in enumerate_B(n, alphabet) if not has_bracket(t))
 
 
 def graded_dim(n, alphabet):
@@ -294,11 +291,6 @@ def _cyc(t):
     return ((x, y, z), (y, z, x), (z, x, y))
 
 
-def _ply1_step(u, v):
-    # [[u,v]] -> −[[v,u]], and [[u,u]] -> 0
-    return LinComb() if u is v else LinComb.of(brk(v, u), -1)
-
-
 def _ply2_triple_step(y, z, u, v):
     # [y,z,[[u,v]]] = [[[y,z,u],v]] + [[u,[y,z,v]]]  (from PLY2)
     return _tree_brk(triple_of(y, z, u), _of(v)) + _tree_brk(_of(u), triple_of(y, z, v))
@@ -356,16 +348,6 @@ def find_redex(t):
     return (), t
 
 
-def subterm_at(t, path):
-    """The subterm at ``path``; InternalRewriteError if there is none."""
-    s = t
-    for slot in path:
-        s = dict(subterms(s)).get(slot)
-        if s is None:
-            raise InternalRewriteError("no subterm at %r in %r" % (path, t))
-    return s
-
-
 def subst(t, path, repl):
     """Replace the subterm at ``path`` by a combination, multilinearly."""
     if not path:
@@ -402,7 +384,8 @@ def _match(s):
     if s.kind == BRK:
         u, v = s.x, s.y
         if u is v or cmp_hall_t(u, v) < 0:
-            return "PLY1", (("x", u), ("y", v)), _ply1_step, (u, v)
+            # [[u,v]] -> −[[v,u]], and [[u,u]] -> 0
+            return "PLY1", (("x", u), ("y", v)), _brk, (u, v)
     elif s.kind == SYMGRAFT:
         root = s.root
         if root.kind == BRK:
@@ -454,16 +437,16 @@ def _start(x):
     return (x if isinstance(x, LinComb) else LinComb.of(x)).map_terms(_to_t)
 
 
-_STEP = {}
-
-
-@memo(_STEP)
-def _step(t):
-    """The one rewrite step of a non-basis term: (rule, redex path,
-    bindings, one-step image). Each term has exactly one."""
+def _rewrite_step(t):
+    """The one rewrite step of a non-basis term, as a ``RewriteStep``. Each
+    term has exactly one."""
     path, s = find_redex(t)
     rule, bindings, repl = head_rewrite(s)
-    return rule, path, bindings, subst(t, path, repl)
+    return RewriteStep(rule, t, path, bindings, subst(t, path, repl))
+
+
+_STEP = {}
+_step = memo(_STEP)(_rewrite_step)
 
 
 class _Desc:
@@ -477,14 +460,12 @@ class _Desc:
         return self.key > other.key
 
 
-def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
+def normalize(x, fuel=DEFAULT_FUEL):
     """Normalize a combination (any basis) onto the target basis.
 
     The worklist is a heap of (priority, term) entries for the non-basis
-    terms of the working set, and the strategy is the priority:
-    ``"reference"`` rewrites the largest term by ``t_key`` first,
-    ``"smallest"`` the smallest, and an int seeds a random priority per
-    entry. ``t_key`` is injective, so equal priorities mean one term and
+    terms of the working set, which rewrites the largest term by ``t_key``
+    first. ``t_key`` is injective, so equal priorities mean one term and
     terms are never compared. Each step pushes the non-basis terms of its
     image; an entry whose term has left the working set is dropped when it
     reaches the top. A step costs its rule plus O(k log h) for the k terms
@@ -497,12 +478,7 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
     work = LinComb(dict(start.terms))
     terms = work.terms
     steps = []
-    if isinstance(strategy, int):
-        draw = random.Random(strategy).random
-        prio = lambda t: draw()
-    else:
-        prio = {"reference": _Desc, "smallest": t_key}[strategy]
-    heap = [(prio(t), t) for t in terms if not is_B(t)]
+    heap = [(_Desc(t), t) for t in terms if not is_B(t)]
     heapify(heap)
     while heap:
         t = heap[0][1]
@@ -513,20 +489,21 @@ def normalize(x, fuel=DEFAULT_FUEL, strategy="reference"):
             raise FuelExhausted(work, RewriteTrace(start, work, tuple(steps)))
         fuel -= 1
         heappop(heap)
-        rule, path, bindings, image = _step(t)
-        steps.append(RewriteStep(rule, t, path, bindings, image))
-        work.add_in(image, terms.pop(t))
-        for u in image:
+        step = _step(t)
+        steps.append(step)
+        work.add_in(step.after, terms.pop(t))
+        for u in step.after:
             if u in terms and not is_B(u):
-                heappush(heap, (prio(u), u))
+                heappush(heap, (_Desc(u), u))
     return work, RewriteTrace(start, work, tuple(steps))
 
 
 def check_trace(input_lc, output_lc, trace, explain=False):
-    """Replay a trace: every step's rule and one-step image are recomputed
-    from its term and path, and the image replaces the term in the working
-    set, which must end equal to the output. It never reads ``_STEP``, but
-    shares ``_BH2T`` and ``_TMUL`` with ``normalize``."""
+    """Replay a trace: every step must equal the unmemoized result of the
+    function that made it, ``_rewrite_step`` of its term, in every field
+    (rule, path, bindings and image), and its image replaces the term in the
+    working set, which must end equal to the output. It never reads
+    ``_STEP``, but shares ``_BH2T`` and ``_TMUL`` with ``normalize``."""
 
     def fail(msg):
         if explain:
@@ -541,15 +518,12 @@ def check_trace(input_lc, output_lc, trace, explain=False):
         if c is None:
             return fail("step %d: rewritten term not present" % i)
         try:
-            rule, _, repl = head_rewrite(subterm_at(step.term, step.path))
-            image = subst(step.term, step.path, repl)
+            replay = _rewrite_step(step.term)
         except (InternalRewriteError, OrderConflictError) as e:
             return fail("step %d: %s" % (i, e))
-        if rule != step.rule:
-            return fail("step %d: rule mismatch (%s vs %s)" % (i, rule, step.rule))
-        if image != step.after:
-            return fail("step %d: replayed image mismatch" % i)
-        cur.add_in(image, c)
+        if replay != step:
+            return fail("step %d: replay differs from the recorded step" % i)
+        cur.add_in(replay.after, c)
     if cur != trace.output or cur != output_lc:
         return fail("trace output does not match")
     if any(not is_B(t) for t in cur):

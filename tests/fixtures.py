@@ -1,9 +1,47 @@
-"""Published listings used as ground truth, transcribed as expressions.
+"""Ground truth for the tests: published listings, transcribed as
+expressions, and a rescanning normalizer that picks any term it is told to.
 
-Each entry is an expression over the single generator ``a``; tests compare
-elaborated values against enumerated basis elements. Two 5-vertex listings
-carry documented transcription quirks (see the order tests that use them).
+Each listing entry is an expression over the single generator ``a``; tests
+compare elaborated values against enumerated basis elements. Two 5-vertex
+listings carry documented transcription quirks (see the order tests that use
+them).
 """
+import random
+
+from plyalg import normal
+from plyalg.bases import t_key
+from plyalg.normal import find_redex, head_rewrite, is_B, subst
+from plyalg.terms import LinComb
+
+
+def scan_normalize(x, pick):
+    """The loop the heap replaced, with the pick as a parameter: every step
+    rescans the working set and rewrites ``pick(non-basis terms, key=t_key)``
+    (``max`` is ``normalize``'s order). Returns the normal form, the steps as
+    (rule, term, path, image), and how many terms came back into the working
+    set after an image cancelled them."""
+    work = LinComb(dict(normal._start(x).terms))
+    steps, gone, returns = [], set(), 0
+    while True:
+        victims = [t for t in work if not is_B(t)]
+        if not victims:
+            return work, steps, returns
+        t = pick(victims, key=t_key)
+        path, s = find_redex(t)
+        rule, _, repl = head_rewrite(s)
+        image = subst(t, path, repl)
+        steps.append((rule, t, path, image))
+        returns += sum(1 for u in image if u in gone and u not in work)
+        gone |= {u for u in image if u in work}
+        work.add_in(image, work.terms.pop(t))
+        gone -= set(work)
+
+
+def seeded_pick(seed):
+    """A pick for ``scan_normalize`` that draws a term at random."""
+    rng = random.Random(seed)
+    return lambda victims, key: rng.choice(sorted(victims, key=key))
+
 
 # one-operator basis, increasing order, 1..5 vertices
 S_LISTING = {

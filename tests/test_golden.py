@@ -1,6 +1,7 @@
 """Byte-identical outputs: the first 16 hex digits of the sha256 of the
-stdout of fixed `plyalg check` suites at the default seed, of `plyalg osbb`
-on two words with 5-letter components, of the Hall normal forms of every
+stdout of fixed `plyalg check` suites at the default seed, of `plyalg enum`
+for every basis at two grades over one generator and one over two, of
+`plyalg osbb` on two words with 5-letter components, of the Hall normal forms of every
 ternary bracketing of a fixed size, and of the normalizer's step sequence
 on the residuals of one suite. A change that alters normal forms, report
 text or the steps taken on purpose updates these digests and says why."""
@@ -31,6 +32,32 @@ GOLDEN = {
 @pytest.mark.parametrize("argv,digest", GOLDEN.values(), ids=GOLDEN.keys())
 def test_check_report_digest(capsys, argv, digest):
     code = main(["check", *argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+ENUM = {
+    ("S", 5, 1): "c8e71edf7505d131", ("S", 6, 1): "dc3578709daa81dc",
+    ("S", 4, 2): "79c0f09ed3284956",
+    ("Bhat", 5, 1): "74d45281a608c549", ("Bhat", 6, 1): "ffdee850154611a3",
+    ("Bhat", 4, 2): "b113b9eaa81be081",
+    ("Shat", 5, 1): "08703aff87315c39", ("Shat", 6, 1): "cca8c1e1166e6da4",
+    ("Shat", 4, 2): "b2f3caae3f3a9e21",
+    ("T", 5, 1): "847b5eeef9757403", ("T", 6, 1): "ecb305b61d3f0f91",
+    ("T", 4, 2): "ce3f4cf91e2f0d14",
+    ("B", 5, 1): "8d50095e4e2fe0a3", ("B", 6, 1): "e66d00a6e74beba1",
+    ("B", 4, 2): "41f8d60ffad32b8c",
+    ("LAT", 5, 1): "7532716fb29a393d", ("LAT", 6, 1): "818dd5dfb129dd16",
+    ("LAT", 4, 2): "b34656c62ebd2b33",
+}
+
+
+@pytest.mark.parametrize("basis,n,gens,digest", [k + (d,) for k, d in ENUM.items()],
+                         ids=["%s-%d-gens-%d" % k for k in ENUM])
+def test_enum_listing_digest(capsys, basis, n, gens, digest):
+    # every basis listing, element by element and in its order
+    code = main(["enum", "--basis", basis, "--n", str(n), "--gens", str(gens)])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

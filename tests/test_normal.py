@@ -10,19 +10,19 @@ import pytest
 
 from plyalg import bases, hall, normal
 from plyalg.bases import (any_to_t, cmp_hall_t, enumerate_Bhat, enumerate_Shat, enumerate_T,
-                          shat_to_t, t_key, t_value, to_shat)
+                          shat_to_t, t_value, to_shat)
 from plyalg.cli import main
 from plyalg.exprs import render_lincomb
 from plyalg.normal import (FuelExhausted, RewriteStep, RewriteTrace, check_trace,
-                           enumerate_B, enumerate_B_lat, find_redex, graded_dim,
-                           head_rewrite, is_B, is_lts_hall_t, lat_project,
-                           normalize, subst)
+                           enumerate_B, enumerate_B_lat, graded_dim, head_rewrite,
+                           is_B, is_lts_hall_t, lat_project, normalize)
 from plyalg.orders import cmp_gen, cmp_shat
 from plyalg.osbb import decompose
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
 from plyalg.tensor import tree_brk, tree_mul, triple_bracket
 from plyalg.terms import Alphabet, LinComb, brk, graft, has_bracket, symgraft, triple
 
+from fixtures import scan_normalize, seeded_pick
 from lemmas import assert_exact_coefficients
 
 A1 = Alphabet.of_size(1)
@@ -110,34 +110,14 @@ def test_well_defined_across_presentations():
 
 
 def test_strategies_agree():
+    # the normal form does not depend on the order the terms are rewritten in
     rng = random.Random(34)
     pool = [t for n in range(1, 6) for t in enumerate_Bhat(n, A1)]
     for i in range(40):
         x = LinComb.of(rng.choice(pool)) + LinComb.of(rng.choice(pool), Fraction(2, 3))
         ref = normalize(x)[0]
-        assert normalize(x, strategy="smallest")[0] == ref
-        assert normalize(x, strategy=100 + i)[0] == ref
-
-
-def _scan_normalize(x, pick):
-    """The loop the heap replaced: every step rescans the working set and
-    picks among all its non-basis terms by ``t_key``. Also returns how many
-    terms came back into the working set after an image cancelled them."""
-    work = LinComb(dict(normal._start(x).terms))
-    steps, gone, returns = [], set(), 0
-    while True:
-        victims = [t for t in work if not is_B(t)]
-        if not victims:
-            return work, steps, returns
-        t = pick(victims, key=t_key)
-        path, s = find_redex(t)
-        rule, _, repl = head_rewrite(s)
-        image = subst(t, path, repl)
-        steps.append((rule, t, path, image))
-        returns += sum(1 for u in image if u in gone and u not in work)
-        gone |= {u for u in image if u in work}
-        work.add_in(image, work.terms.pop(t))
-        gone -= set(work)
+        assert scan_normalize(x, min)[0] == ref
+        assert scan_normalize(x, seeded_pick(100 + i))[0] == ref
 
 
 def _random_sums(rng, alphabet, max_n, count, size):
@@ -148,23 +128,21 @@ def _random_sums(rng, alphabet, max_n, count, size):
                                   for _ in range(size)])
 
 
-@pytest.mark.parametrize("alphabet,max_n,size", [(A1, 7, 6), (A2, 5, 8)],
-                         ids=["1-gen", "2-gen"])
-def test_heap_picks_as_full_scan(alphabet, max_n, size):
+def test_heap_picks_as_full_scan():
     # the heap pops the term the full rescan picks, so every step, its
     # order and the output (in dict order) are the rescan's
-    rng = random.Random(35)
     returns = 0
-    for x in _random_sums(rng, alphabet, max_n, 10, size):
-        for strategy, pick in (("reference", max), ("smallest", min)):
-            want, want_steps, back = _scan_normalize(x, pick)
+    for alphabet, max_n, size in ((A1, 7, 6), (A2, 5, 8)):
+        for x in _random_sums(random.Random(35), alphabet, max_n, 10, size):
+            want, want_steps, back = scan_normalize(x, max)
             # exactly enough fuel: stale entries left in the heap cost none
-            out, trace = normalize(x, fuel=len(want_steps), strategy=strategy)
+            out, trace = normalize(x, fuel=len(want_steps))
             assert [(s.rule, s.term, s.path, s.after) for s in trace.steps] == want_steps
             assert list(out.items()) == list(want.items())
             returns += back
-    # the corpus exercises the lazy deletion: images cancel terms of the
-    # working set, and some of those terms come back later
+    # the corpora exercise the lazy deletion: images cancel terms of the
+    # working set, and some of those terms come back later (the 1-generator
+    # sums do; the 2-generator ones bring none back)
     assert returns > 0
 
 
@@ -334,7 +312,7 @@ def test_step_memo_not_mutated(tmp_path):
     inputs = _grade6_and_residuals(44)[:8] + [_ply6_trace()[0]]
     for x in inputs:
         normalize(x)
-    saved = [(v[3], list(v[3].items())) for v in normal._STEP.values()]
+    saved = [(v.after, list(v.after.items())) for v in normal._STEP.values()]
     assert saved
     saved += [(v, list(v.items())) for v in normal._ORIENT.values()]
     # the conversion cache too: ``check_trace`` pops terms out of ``_start``'s
