@@ -4,9 +4,11 @@ Four bases appear: the planar-tree basis (Graft nodes), the symmetric-block
 basis (OGraft nodes, OSBB words over itself), the triple basis (SymGraft and
 Triple nodes, image of the block basis under the automorphism ``phi``), and
 for the one-operator algebra the bracket-free restriction of the block
-basis. Conversions are exact; ``shat_to_t`` uses the triangularity of
-``phi`` (the value of phi(s) re-expanded in block coordinates is s plus
-strictly smaller terms).
+basis. Conversions are exact. ``shat_to_t`` converts a bracket and a
+symmetric graft by structure, from their children's triple coordinates; a
+graft of a word with bracket blocks by the triangularity of ``phi`` (the
+value of phi(s) re-expanded in block coordinates is s plus strictly smaller
+terms).
 """
 from __future__ import annotations
 
@@ -206,7 +208,29 @@ _S2T = {}
 
 @memo(_S2T)
 def shat_elem_to_t(s):
-    """Triple-basis coordinates of a block-basis element (triangular solve)."""
+    """Triple-basis coordinates of a block-basis element.
+
+    A bracket and a symmetric graft convert by structure, from the
+    coordinates of their children:
+
+    - ``brk(x, y)`` maps to the bracket of the images of x and y, since the
+      bracket is bilinear in both bases;
+    - ``ograft(s(S), r)`` maps to the multilinear ``symgraft`` of the
+      images of S's letters on the image of r, which is all generators and
+      brackets. Grafting a word onto such a root is the word's action on it:
+      ``graft_product`` and ``_tri_words`` both follow G(x·w, r) =
+      x ▷ G(w, r) − G(x ▷ w, r) from G(x, r) = x ▷ r, and ``symmetrize`` is
+      multilinear.
+
+    A graft of a word with bracket blocks keeps the triangular solve: a
+    triple's slot conditions do not survive substitution."""
+    if s.kind == GEN:
+        return LinComb.of(s)
+    if s.kind == BRK:
+        return tree_brk(shat_elem_to_t(s.x), shat_elem_to_t(s.y))
+    if s.kind == OGRAFT and s.word.is_symmetric:
+        return multilinear(lambda r, *ls: LinComb.of(symgraft(ls, r)),
+                           shat_elem_to_t(s.root), *map(shat_elem_to_t, s.word.tail))
     t = phi(s)
     delta = to_shat(t_value(t)) - LinComb.of(s)
     for u in delta:

@@ -2,16 +2,19 @@
 triangularity, and the structural lemmas about products in the block basis."""
 from fractions import Fraction
 
-from plyalg.bases import (alpha_count, beta_count, enumerate_Bhat,
+import pytest
+
+from plyalg.bases import (BasisError, alpha_count, beta_count, enumerate_Bhat,
                           enumerate_S, enumerate_Shat, enumerate_T,
-                          from_shat, phi, phi_inv, phi_lin, shat_to_t,
-                          t_value, t_value_lin, to_shat)
+                          from_shat, phi, phi_inv, phi_lin, shat_elem_to_t,
+                          shat_to_t, t_value, t_value_lin, to_shat)
 from plyalg.orders import cmp_shat
 from plyalg.terms import (SYMGRAFT, TRIPLE, Alphabet, LinComb, graft, ograft,
-                          osbb_word)
+                          osbb_word, symgraft, triple)
 
 A1 = Alphabet.of_size(1)
 A2 = Alphabet.of_size(2)
+A3 = Alphabet.of_size(3)
 a = A1.gens[0]
 
 
@@ -129,6 +132,42 @@ def test_shat_to_t_roundtrip():
         for t in enumerate_T(n, A1):
             x = LinComb.of(t)
             assert shat_to_t(to_shat(t_value_lin(x))) == x
+
+
+_SOLVED = {}
+
+
+def _solve_to_t(s):
+    """The triangular solve for every block-basis element, memoized: phi(s)
+    re-expanded in block coordinates is s plus strictly smaller terms, whose
+    coordinates are solved first."""
+    out = _SOLVED.get(s)
+    if out is None:
+        t = phi(s)
+        delta = to_shat(t_value(t)) - LinComb.of(s)
+        out = LinComb.of(t)
+        for u, c in delta.items():
+            assert cmp_shat(u, s) < 0
+            out.add_in(_solve_to_t(u), -c)
+        _SOLVED[s] = out
+    return out
+
+
+def test_shat_elem_to_t_matches_triangular_solve():
+    # brackets and symmetric grafts convert by structure, block words by
+    # the solve; all must agree with the solve on every element
+    for alphabet, top in ((A1, 6), (A2, 5), (A3, 4)):
+        for n in range(1, top + 1):
+            for s in enumerate_Shat(n, alphabet):
+                assert shat_elem_to_t(s) == _solve_to_t(s), s
+
+
+@pytest.mark.parametrize("t", [graft((a,), a), symgraft((a,), a),
+                               triple((), A2.gens[1], A2.gens[0], a)],
+                         ids=["graft", "symgraft", "triple"])
+def test_shat_elem_to_t_rejects_other_bases(t):
+    with pytest.raises(BasisError):
+        shat_elem_to_t(t)
 
 
 # -- structural lemmas over the block basis -------------------------------------

@@ -1,7 +1,9 @@
 """Byte-identical outputs: the first 16 hex digits of the sha256 of the
 stdout of fixed `plyalg check` suites at the default seed, of `plyalg enum`
 for every basis at two grades over one generator and one over two, of
-`plyalg osbb` on two words with 5-letter components, of the Hall normal forms of every
+`plyalg osbb` on two words with 5-letter components, of `plyalg phi-inv` on
+brackets, symmetric grafts and grade-6 trees over two generators (the change
+into triple coordinates and back), of the Hall normal forms of every
 ternary bracketing of a fixed size, and of the normalizer's step sequence
 on the residuals of one suite. A change that alters normal forms, report
 text or the steps taken on purpose updates these digests and says why."""
@@ -70,6 +72,26 @@ def test_enum_listing_digest(capsys, basis, n, gens, digest):
 def test_osbb_decomposition_digest(capsys, word, digest):
     # the words fill the 5-distinct-letter component and a 60-permutation one
     code = main(["osbb", word, "--gens", "a,b,c,d,e", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("expr,digest", [
+    ("bk(gr(a; b), bk(b, a))", "25bae41c4f016353"),
+    ("sg(a, b; bk(a, b))", "844850b7f53d837f"),
+    ("sg(bk(a, b), gr(a; b); bk(b, a))", "656a46b8ec4e30bd"),
+    ("gr(a, b; a) - gr(b, a; a)", "2eb52c4f762052f5"),
+    ("gr(gr(a, b; a), bk(b, a); b)", "bbf47f88a7738175"),
+    ("gr(a, gr(b; a), bk(a, b); b)", "f0288d711d561915"),
+    ("gr(b, a, gr(a; b), a; a)", "fbdfced737bfad6f"),
+    ("gr(gr(gr(a; b); a), b; bk(a, b))", "d08d5642af1295be"),
+], ids=["bracket", "sym-on-bracket", "sym-of-brackets", "block-word",
+        "grade-6-sym-block", "grade-6-mixed", "grade-6-four-branches", "grade-6-bracket-root"])
+def test_phi_inv_digest(capsys, expr, digest):
+    # block-basis coordinates of phi^-1 of the triple coordinates: every
+    # route of shat_to_t (bracket, symmetric graft, block-word solve)
+    code = main(["phi-inv", expr, "--gens", "a,b"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
