@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage/parse/elaboration error or an unwritable
-trace file, 2 rewriting fuel exhausted, 3 a check suite failed, 4 the
+Exit codes: 0 success, 1 usage/parse/elaboration error, an unwritable
+trace file or a standard output closed before the output was written (one
+line on stderr), 2 rewriting fuel exhausted, 3 a check suite failed, 4 the
 rewriting rules met a term they cannot order or rewrite (a known defect of
 the engine, not of the input).
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from .bases import (cmp_t, enumerate_Bhat, enumerate_S, enumerate_Shat,
@@ -277,7 +279,15 @@ def run(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to the null
+        # device, so that the flush at interpreter exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed by its reader", file=sys.stderr)
+        return 1
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 1

@@ -131,29 +131,6 @@ class RewriteStuck(Exception):
     pass
 
 
-def _find_non_hall(t, cmpl):
-    """Path to the innermost non-Hall node, or None."""
-    if is_lts_hall(t, cmpl):
-        return None
-    for slot in t.__slots__:
-        p = _find_non_hall(getattr(t, slot), cmpl)
-        if p is not None:
-            return (slot,) + p
-    return ()
-
-
-def _subst3(t, path, repl):
-    if not path:
-        return repl
-    slot, rest = path[0], path[1:]
-
-    def put(u):
-        parts = {"x": t.x, "y": t.y, "z": t.z}
-        parts[slot] = u
-        return LinComb.of(node3(parts["x"], parts["y"], parts["z"]))
-    return _subst3(getattr(t, slot), rest, repl).map_terms(put)
-
-
 def _step(t, cmpl):
     """One rewriting step at a node whose children are all Hall."""
     u, v, w = t.x, t.y, t.z
@@ -172,20 +149,30 @@ def _step(t, cmpl):
     raise RewriteStuck("no step applies at %r" % (t,))
 
 
+def _rewrite(t, cmpl):
+    """The one-step image of a non-Hall node: the image of its first non-Hall
+    child put back in place, or ``_step`` at the node when every child is
+    Hall."""
+    for slot in t.__slots__:
+        child = getattr(t, slot)
+        if not is_lts_hall(child, cmpl):
+            def put(u):
+                parts = {"x": t.x, "y": t.y, "z": t.z, slot: u}
+                return LinComb.of(node3(**parts))
+            return _rewrite(child, cmpl).map_terms(put)
+    return _step(t, cmpl)
+
+
 def lts_hall_rewrite(x, cmpl, fuel=10 ** 6):
     """Rewrite a combination of ternary bracketings into Hall elements."""
     work = LinComb(dict(x.terms)) if isinstance(x, LinComb) else LinComb.of(x)
     while True:
         for t in work:
-            path = _find_non_hall(t, cmpl)
-            if path is not None:
+            if not is_lts_hall(t, cmpl):
                 break
         else:
             return work
         if fuel <= 0:
             raise RewriteStuck("fuel exhausted before reaching Hall form")
         fuel -= 1
-        node = t
-        for slot in path:
-            node = getattr(node, slot)
-        work.add_in(_subst3(t, path, _step(node, cmpl)), work.terms.pop(t))
+        work.add_in(_rewrite(t, cmpl), work.terms.pop(t))

@@ -3,8 +3,9 @@ free post-Lie-Yamaguti algebra, with replayable rewrite traces.
 
 The working representation is the triple basis. The worklist is a priority
 queue of the terms outside the target basis, largest first. Each step pops a
-term, locates its innermost reducible subterm, and applies the rule that
-``_match`` finds there:
+term and rewrites it in one walk down to its innermost reducible subterm:
+the rule that ``_match`` finds there gives an image, which each level on the
+way back up puts in place of its child (``subst``). The rules:
 
   PLY1        reorder or kill a bracket
   PLY2        push a symmetric word through a bracket root
@@ -69,10 +70,11 @@ class FuelExhausted(Exception):
 @dataclass(frozen=True)
 class RewriteStep:
     """``term``, with coefficient c, leaves the working set and c times
-    ``after`` comes in: its one-step image ``subst(term, path, repl)``,
-    hashed as ``after_hash`` in the trace file (format 3). A step is the
-    value of ``_rewrite_step(term)``, and replays as that function's
-    unmemoized result, equal in every field."""
+    ``after`` comes in: its one-step image, the head rule's image at
+    ``path`` put back in place one level at a time, hashed as ``after_hash``
+    in the trace file (format 3). A step is the value of
+    ``_rewrite_step(term)``, and replays as that function's unmemoized
+    result, equal in every field."""
     rule: str
     term: object          # the working term that was rewritten
     path: tuple           # position of the redex inside it
@@ -334,44 +336,30 @@ def _ply5_step(u, v, z, w, sign):
     return out if sign > 0 else -out
 
 
-# -- redex location and substitution ----------------------------------------------
+# -- putting an image back in place ------------------------------------------------
 
-def find_redex(t):
-    """Path to the innermost reducible subterm. Triples with a symmetric part
-    are reduced before their children so slot constraints never bite."""
-    if t.kind == TRIPLE and t.sym:
-        return (), t
-    for slot, child in subterms(t):
-        if not is_B(child):
-            p, s = find_redex(child)
-            return (slot,) + p, s
-    return (), t
-
-
-def subst(t, path, repl):
-    """Replace the subterm at ``path`` by a combination, multilinearly."""
-    if not path:
-        return repl
-    slot, rest = path[0], path[1:]
+def subst(t, slot, image):
+    """``t`` with its child at ``slot`` replaced by ``image``, a combination,
+    rebuilt one level up, multilinearly."""
     if t.kind == BRK:
         if slot == "x":
-            return _tree_brk(subst(t.x, rest, repl), _of(t.y))
-        return _tree_brk(_of(t.x), subst(t.y, rest, repl))
+            return _tree_brk(image, _of(t.y))
+        return _tree_brk(_of(t.x), image)
     if t.kind == SYMGRAFT:
         if slot == "root":
             def on_root(r):
                 assert r.kind in (GEN, BRK), "graft root rewrote to a non-root shape"
                 return _of(symgraft(t.sym, r))
-            return subst(t.root, rest, repl).map_terms(on_root)
+            return image.map_terms(on_root)
         i = slot[1]
-        return subst(t.sym[i], rest, repl).map_terms(
+        return image.map_terms(
             lambda u: _of(symgraft(t.sym[:i] + (u,) + t.sym[i + 1:], t.root)))
     if t.kind == TRIPLE and not t.sym:  # a symmetric part makes a head redex
         if slot == "y":
-            return triple_raw(subst(t.y, rest, repl), _of(t.z), _of(t.w))
+            return triple_raw(image, _of(t.z), _of(t.w))
         if slot == "z":
-            return triple_raw(_of(t.y), subst(t.z, rest, repl), _of(t.w))
-        return subst(t.w, rest, repl).map_terms(lambda u: _of(triple((), t.y, t.z, u)))
+            return triple_raw(_of(t.y), image, _of(t.w))
+        return image.map_terms(lambda u: _of(triple((), t.y, t.z, u)))
     raise InternalRewriteError("cannot substitute into %r" % t)
 
 
@@ -438,11 +426,18 @@ def _start(x):
 
 
 def _rewrite_step(t):
-    """The one rewrite step of a non-basis term, as a ``RewriteStep``. Each
-    term has exactly one."""
-    path, s = find_redex(t)
-    rule, bindings, repl = head_rewrite(s)
-    return RewriteStep(rule, t, path, bindings, subst(t, path, repl))
+    """The one rewrite step of a non-basis term, as a ``RewriteStep``: the
+    step of its first child outside the basis, put back in place, or its
+    head rule when there is none or the term is a triple with a symmetric
+    part (reduced before its children, so slot constraints never bite)."""
+    if not (t.kind == TRIPLE and t.sym):
+        for slot, child in subterms(t):
+            if not is_B(child):
+                s = _rewrite_step(child)
+                return RewriteStep(s.rule, t, (slot,) + s.path, s.bindings,
+                                   subst(t, slot, s.after))
+    rule, bindings, after = head_rewrite(t)
+    return RewriteStep(rule, t, (), bindings, after)
 
 
 _STEP = {}

@@ -64,8 +64,8 @@ def cmp_shat(x, y):
     return cmp_ints(shat_key(x), shat_key(y))
 
 
-def sort_by(elems, key, reverse=False):
-    return sorted(elems, key=key, reverse=reverse)
+def sort_by(elems, key):
+    return sorted(elems, key=key)
 
 
 def is_total_order(cmp, elems):

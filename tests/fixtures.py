@@ -10,7 +10,7 @@ import random
 
 from plyalg import normal
 from plyalg.bases import t_key
-from plyalg.normal import find_redex, head_rewrite, is_B, subst
+from plyalg.normal import is_B
 from plyalg.terms import LinComb
 
 
@@ -27,10 +27,9 @@ def scan_normalize(x, pick):
         if not victims:
             return work, steps, returns
         t = pick(victims, key=t_key)
-        path, s = find_redex(t)
-        rule, _, repl = head_rewrite(s)
-        image = subst(t, path, repl)
-        steps.append((rule, t, path, image))
+        step = normal._rewrite_step(t)
+        image = step.after
+        steps.append((step.rule, t, step.path, image))
         returns += sum(1 for u in image if u in gone and u not in work)
         gone |= {u for u in image if u in work}
         work.add_in(image, work.terms.pop(t))

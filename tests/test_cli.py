@@ -215,6 +215,22 @@ def test_tensor_as_algebra_exit_1_under_optimize(text):
     assert proc.stderr.count("\n") == 1
 
 
+def test_closed_stdout_exit_1_without_traceback():
+    # the reader end of stdout is closed before the run starts, so the
+    # first write of the output fails
+    env = dict(os.environ, PYTHONPATH=str(Path(plyalg.__file__).parents[1]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "plyalg.cli", "enum", "--basis", "B",
+                               "--n", "2"], stdout=w, stderr=subprocess.PIPE, text=True,
+                              env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, gens", [("bk(s, t)", "s,t"), ("bk(β, α)", "α,β"),
                                         ("gr(bk; w)", "bk,w")])
 def test_inferred_generators_match_gens(capsys, text, gens):

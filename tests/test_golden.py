@@ -5,15 +5,17 @@ for every basis at two grades over one generator and one over two, of
 brackets, symmetric grafts and grade-6 trees over two generators (the change
 into triple coordinates and back), of the Hall normal forms of every
 ternary bracketing of a fixed size, and of the normalizer's step sequence
-on the residuals of one suite. A change that alters normal forms, report
+on the residuals of one suite and, with every step's bindings and image, on
+two trees whose redexes lie up to three levels deep. A change that alters normal forms, report
 text or the steps taken on purpose updates these digests and says why."""
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
 from plyalg.cli import main
-from plyalg.exprs import render_term
+from plyalg.exprs import parse_algebra, render_lincomb, render_term
 from plyalg.hall import leaf, lts_hall_rewrite, node3
 from plyalg.normal import normalize
 from plyalg.orders import cmp_gen
@@ -139,3 +141,25 @@ def test_trace_step_digest():
                          for s in trace.steps)
     assert len(lines) == 88
     assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == "21467b1b51d34d29"
+
+
+def _render_binding(v):
+    return " ".join(map(render_term, v)) if isinstance(v, tuple) else render_term(v)
+
+
+def test_deep_step_digest():
+    # every step's rule, term, path, bindings and image, and the normal form,
+    # of two grade-6 trees over two generators whose steps reach path depth 3
+    lines, depths = [], Counter()
+    ab = Alphabet(["a", "b"])
+    for expr in ("gr(b, b, a, b; bk(b, a))", "gr(b, a, b, a, a; a)"):
+        out, trace = normalize(parse_algebra(expr, ab))
+        for s in trace.steps:
+            depths[len(s.path)] += 1
+            lines.append("%s %s %r %s -> %s\n" % (
+                s.rule, render_term(s.term), s.path,
+                ", ".join("%s=%s" % (k, _render_binding(v)) for k, v in s.bindings),
+                render_lincomb(s.after)))
+        lines.append("= %s\n" % render_lincomb(out))
+    assert depths == {0: 309, 1: 141, 2: 44, 3: 6} and len(lines) == 502
+    assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == "b67fd1a33ab7c9ff"

@@ -214,6 +214,27 @@ def test_trace_bad_path_rejected():
             check_trace(z, out, bad, explain=True)
 
 
+def test_middle_slot_step_of_a_bare_triple():
+    # the first non-basis child of tb(b, sg(a; bk(b, a)), a) is its middle
+    # slot; triple-bracket antisymmetry holds there inside the envelope
+    # (5 vertices over 2 generators)
+    a2, b2 = A2.gens
+    s = symgraft((a2,), brk(b2, a2))
+    x = LinComb.of(triple((), b2, s, a2))
+    out, trace = normalize(x)
+    assert trace.steps[0].path == ("z",)
+    assert check_trace(x, out, trace, explain=True)
+    assert out == -nf(LinComb.of(triple((), s, b2, a2)))
+
+
+def test_step_on_a_basis_term_rejected():
+    x = LinComb.of(a)
+    forged = RewriteTrace(x, LinComb(), (RewriteStep("PLY1", a, (), (), LinComb()),))
+    assert not check_trace(x, LinComb(), forged)
+    with pytest.raises(AssertionError, match="no rule applies"):
+        check_trace(x, LinComb(), forged, explain=True)
+
+
 def _ply6_trace():
     # nine steps (PLY3, PLY4, PLY6) from an input with four non-basis terms
     x = relation_residual("PLY6", (a_t(), g2_t(), a_t(), g2_t(), a_t()))
