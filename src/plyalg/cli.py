@@ -102,23 +102,9 @@ def _write_trace(path, trace):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-_BASES = ("S", "Bhat", "Shat", "T", "B", "LAT")
-
-
-def _enumerate(basis, n, alphabet):
-    if basis == "S":
-        return enumerate_S(n, alphabet)
-    if basis == "Bhat":
-        return enumerate_Bhat(n, alphabet)
-    if basis == "Shat":
-        return enumerate_Shat(n, alphabet)
-    if basis == "T":
-        return enumerate_T(n, alphabet)
-    if basis == "B":
-        return enumerate_B(n, alphabet)
-    if basis == "LAT":
-        return enumerate_B_lat(n, alphabet)
-    raise UsageError("unknown basis %r" % basis)
+_ENUMERATE = {"S": enumerate_S, "Bhat": enumerate_Bhat, "Shat": enumerate_Shat,
+              "T": enumerate_T, "B": enumerate_B, "LAT": enumerate_B_lat}
+_BASES = tuple(_ENUMERATE)
 
 
 def build_parser():
@@ -197,7 +183,7 @@ def run(argv):
         if args.n < 1:
             raise UsageError("--n must be at least 1, got %d" % args.n)
         alphabet = _alphabet(args.gens)
-        elems = _enumerate(args.basis, args.n, alphabet)
+        elems = _ENUMERATE[args.basis](args.n, alphabet)
         if args.json:
             print(json.dumps({"basis": args.basis, "n": args.n,
                               "count": len(elems),
@@ -212,7 +198,7 @@ def run(argv):
         if args.max_n < 1:
             raise UsageError("--max-n must be at least 1, got %d" % args.max_n)
         alphabet = _alphabet(args.gens)
-        dims = [len(_enumerate(args.basis, n, alphabet))
+        dims = [len(_ENUMERATE[args.basis](n, alphabet))
                 for n in range(1, args.max_n + 1)]
         print(" ".join(map(str, dims)))
         return 0

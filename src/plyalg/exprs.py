@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 
-from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb,
+from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, Term,
                     canon_key, graft, multilinear)
 from .tensor import (graft_product, letters_to_words, lie_word, symmetrize,
                      tensor_mul, tree_brk, triangle, triple_bracket, unit,
@@ -287,6 +287,8 @@ def render_term(t):
         if len(t) == 1:
             return render_term(t[0])
         return "w(%s)" % ", ".join(render_term(l) for l in t)
+    if not isinstance(t, Term):  # a magma node or an OSBB word
+        return repr(t)
     if t.kind == GEN:
         return t.name
     if t.kind == BRK:
@@ -326,15 +328,24 @@ def render_word(w, order):
     return "w(%s)" % ", ".join(items)
 
 
+def _canon(t):
+    """``canon_key`` of a term, of each letter of a tensor word, or else the
+    node's own ``repr``."""
+    if isinstance(t, tuple):
+        return tuple(map(canon_key, t))
+    return canon_key(t) if isinstance(t, Term) else repr(t)
+
+
 def _sorted_items(x, order):
     """The items of ``x`` by descending ``order`` (a comparison), or by
-    descending ``canon_key`` when ``order`` is None."""
-    key = canon_key if order is None else cmp_to_key(order)
+    descending ``_canon`` when ``order`` is None."""
+    key = _canon if order is None else cmp_to_key(order)
     return sorted(x.items(), key=lambda tc: key(tc[0]), reverse=True)
 
 
 def render_lincomb(x, order=None):
-    """Canonical text for a combination; parses back to an equal value."""
+    """Canonical text for a combination; parses back to an equal value when
+    its terms are terms or tensor words (other nodes print by ``repr``)."""
     if not x:
         return "0"
     return " + ".join(render_term(t) if c == 1 else "%s * %s" % (c, render_term(t))

@@ -16,13 +16,18 @@ way back up puts in place of its child (``subst``). The rules:
   PLY5        move a large bracket second-component out of a triple-bracket
 
 The target basis is the set of terms on which no rule matches, so the rules
-are stated once, in ``_match``. Brackets are born oriented: ``_brk`` builds
-[[u,v]] as PLY1's image, the rules build their brackets through it, and a
-rewrite starts from its input with every bracket oriented (``_start``). So
-PLY1 and TB-antisym fire only on input triples: TB-antisym on the first two
-slots of an input triple, which orienting them can put out of order, and
-PLY1 never inside ``normalize``, only on a term handed to ``head_rewrite``
-as it is. Otherwise both stay in ``_match`` as the statement of ``is_B``.
+are stated once, in ``_match``: each as its name, its bindings and its
+expander, and its image is the expander applied to the bindings' values.
+The symmetric expansions of PLY2 and PLY3 are memoized per (sym, head)
+through ``terms.memo``, like every other cache here.
+
+Brackets are born oriented: ``_brk`` builds [[u,v]] as PLY1's image, the
+rules build their brackets through it, and a rewrite starts from its input
+with every bracket oriented (``_start``). So PLY1 and TB-antisym fire only
+on input triples: TB-antisym on the first two slots of an input triple,
+which orienting them can put out of order, and PLY1 never inside
+``normalize``, only on a term handed to ``head_rewrite`` as it is.
+Otherwise both stay in ``_match`` as the statement of ``is_B``.
 
 Each rule application is one trace step, a deterministic function of the
 term (``_rewrite_step``): ``normalize`` records its result memoized per term
@@ -218,53 +223,52 @@ def _orient(t):
 
 # -- rule expanders ---------------------------------------------------------------
 
-def _expand_sym(memo, single, act, sym, *head):
-    """s(sym) ▷ head modulo the ideal, memoized by (sym, *head): s(x·rest) =
-    x ▷ s(rest) − Σ_j s(rest with x ▷ rest_j), averaged over x. A letter acts
-    on the head by ``single(s, *head)``, on a term of the result by ``act``."""
-    sym = tuple(sorted(sym, key=canon_key))
-    key = (sym,) + head
-    out = memo.get(key)
-    if out is not None:
-        return out
-    if len(sym) == 1:
-        out = single(sym[0], *head)
-    else:
+def _sym_expander(table, act, head):
+    """The expander s(sym) ▷ head(*parts) modulo the ideal (Guin–Oudom),
+    memoized in ``table`` by (sym, head) with ``sym`` sorted as a term stores
+    it: s(x·rest) ▷ h = x ▷ (s(rest) ▷ h) − Σ_j s(rest with x ▷ rest_j) ▷ h,
+    averaged over x. A letter acts on a term by ``act``."""
+    @memo(table)
+    def expand(sym, h):
+        if len(sym) == 1:
+            return act(sym[0], h)
         out = LinComb()
         f = Fraction(1, len(sym))
         for i, s in enumerate(sym):
             rest = sym[:i] + sym[i + 1:]
-            for t, c in _expand_sym(memo, single, act, rest, *head).items():
+            for t, c in expand(rest, h).items():
                 out.add_in(act(s, t), c * f)
             for j in range(len(rest)):
                 for t2, c2 in t_mul(s, rest[j]).items():
-                    out.add_in(_expand_sym(memo, single, act,
-                                           rest[:j] + (t2,) + rest[j + 1:], *head), -c2 * f)
-    memo[key] = out
-    return out
+                    word = tuple(sorted(rest[:j] + (t2,) + rest[j + 1:], key=canon_key))
+                    out.add_in(expand(word, h), -c2 * f)
+        return out
+    return lambda sym, *parts: expand(sym, head(*parts))
 
 
-def _ply2_single(s, u, v):
-    # s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]]
-    return _tree_brk(t_mul(s, u), _of(v)) + _tree_brk(_of(u), t_mul(s, v))
+def _derive_brk(d, u, v):
+    """A derivation ``d`` (term -> combination) on a bracket:
+    d([[u,v]]) = [[d(u), v]] + [[u, d(v)]]."""
+    return _tree_brk(d(u), _of(v)) + _tree_brk(_of(u), d(v))
 
 
 def _ply2_act(s, t):
+    # s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]]
     assert t.kind == BRK
-    return _ply2_single(s, t.x, t.y)
+    return _derive_brk(lambda x: t_mul(s, x), t.x, t.y)
 
 
 _E2 = {}
+# s(sym) ▷ [[u,v]]: a combination of brackets
+_ply2_sym_step = _sym_expander(_E2, _ply2_act, brk)
 
 
-def expand_sym_on_bracket(sym, u, v):
-    """s(sym) ▷ [[u,v]] modulo the ideal: a combination of brackets."""
-    return _expand_sym(_E2, _ply2_single, _ply2_act, sym, u, v)
-
-
-def _ply3_single(s, y, z, w):
+def _ply3_act(s, t):
     # s ▷ [y,z,w] = [s▷y,z,w] + [y,s▷z,w] + [y,z,s▷w]
     #               + (s · [[y,z]]) ▷ w − [[y,z]] ▷ (s ▷ w)
+    if t.kind != TRIPLE or t.sym:
+        return t_mul(s, t)
+    y, z, w = t.y, t.z, t.w
     out = triple_raw(t_mul(s, y), _of(z), _of(w))
     out += triple_raw(_of(y), t_mul(s, z), _of(w))
     out += triple_raw(_of(y), _of(z), t_mul(s, w))
@@ -273,19 +277,9 @@ def _ply3_single(s, y, z, w):
     return out
 
 
-def _ply3_act(s, t):
-    if t.kind == TRIPLE and not t.sym:
-        return _ply3_single(s, t.y, t.z, t.w)
-    return t_mul(s, t)
-
-
 _E3 = {}
-
-
-def expand_sym_on_triple(sym, y, z, w):
-    """s(sym) ▷ [y,z,w] modulo the ideal: no symmetric part remains on any
-    triple-bracket in the result."""
-    return _expand_sym(_E3, _ply3_single, _ply3_act, sym, y, z, w)
+# s(sym) ▷ [y,z,w]: no symmetric part remains on any triple-bracket
+_ply3_step = _sym_expander(_E3, _ply3_act, lambda y, z, w: triple((), y, z, w))
 
 
 def _cyc(t):
@@ -295,7 +289,7 @@ def _cyc(t):
 
 def _ply2_triple_step(y, z, u, v):
     # [y,z,[[u,v]]] = [[[y,z,u],v]] + [[u,[y,z,v]]]  (from PLY2)
-    return _tree_brk(triple_of(y, z, u), _of(v)) + _tree_brk(_of(u), triple_of(y, z, v))
+    return _derive_brk(lambda x: triple_of(y, z, x), u, v)
 
 
 def _antisym_step(y, z, w):
@@ -327,13 +321,18 @@ def _ply6_step(a, b, c, v, w):
     return out
 
 
-def _ply5_step(u, v, z, w, sign):
+def _ply5_step(u, v, z, w):
     # [[[u,v]],z,w] -> [[[u,z]],v,w] − [[[v,z]],u,w] + Σ_cyc(u,v,z) [[[[α,β]],γ]] ▷ w
     out = triple_raw(_of(brk(u, z)), _of(v), _of(w))
     out -= triple_raw(_of(brk(v, z)), _of(u), _of(w))
     for a, b, g in _cyc((u, v, z)):
         out += t_mul(brk(brk(a, b), g), w)
-    return out if sign > 0 else -out
+    return out
+
+
+def _ply5_mid_step(u, v, z, w):
+    # [z,[[u,v]],w] = −[[[u,v]],z,w]: TB-antisym, then PLY5
+    return -_ply5_step(u, v, z, w)
 
 
 # -- putting an image back in place ------------------------------------------------
@@ -367,54 +366,51 @@ def subst(t, slot, image):
 
 def _match(s):
     """The rule that rewrites ``s``, a term whose children are all in the
-    basis: (rule name, bindings, expander, its arguments), or None when no
-    rule applies. The rules that read only the shape of ``s`` come first."""
+    basis: (rule name, bindings, expander), or None when no rule applies.
+    The image is the expander applied to the bindings' values, in order.
+    The rules that read only the shape of ``s`` come first."""
     if s.kind == BRK:
         u, v = s.x, s.y
         if u is v or cmp_hall_t(u, v) < 0:
             # [[u,v]] -> −[[v,u]], and [[u,u]] -> 0
-            return "PLY1", (("x", u), ("y", v)), _brk, (u, v)
+            return "PLY1", (("x", u), ("y", v)), _brk
     elif s.kind == SYMGRAFT:
         root = s.root
         if root.kind == BRK:
-            return ("PLY2", (("sym", s.sym), ("x", root.x), ("y", root.y)),
-                    expand_sym_on_bracket, (s.sym, root.x, root.y))
+            return "PLY2", (("sym", s.sym), ("x", root.x), ("y", root.y)), _ply2_sym_step
     elif s.kind == TRIPLE:
         y, z, w = s.y, s.z, s.w
         if s.sym:
-            return ("PLY3", (("sym", s.sym), ("x", y), ("y", z), ("z", w)),
-                    expand_sym_on_triple, (s.sym, y, z, w))
+            return "PLY3", (("sym", s.sym), ("x", y), ("y", z), ("z", w)), _ply3_step
         if w.kind == BRK:
             # the image of a graft onto a bracket root
             return ("PLY2", (("x", y), ("y", z), ("u", w.x), ("v", w.y)),
-                    _ply2_triple_step, (y, z, w.x, w.y))
+                    _ply2_triple_step)
         if cmp_hall_t(y, z) <= 0:
-            return ("TB-antisym", (("x", y), ("y", z), ("z", w)),
-                    _antisym_step, (y, z, w))
+            return "TB-antisym", (("x", y), ("y", z), ("z", w)), _antisym_step
         if cmp_hall_t(z, w) > 0:
-            return "PLY4", (("x", y), ("y", z), ("z", w)), _ply4_step, (y, z, w)
+            return "PLY4", (("x", y), ("y", z), ("z", w)), _ply4_step
         if y.kind == TRIPLE and not y.sym and cmp_hall_t(y.w, z) > 0:
             return ("PLY6", (("u", y.y), ("v", y.z), ("x", y.w), ("y", z), ("z", w)),
-                    _ply6_step, (y.y, y.z, y.w, z, w))
+                    _ply6_step)
         if y.kind == BRK and cmp_hall_t(y.y, z) > 0:
-            return ("PLY5", (("x", y.x), ("y", y.y), ("z", z), ("u", w)),
-                    _ply5_step, (y.x, y.y, z, w, +1))
+            return "PLY5", (("x", y.x), ("y", y.y), ("z", z), ("u", w)), _ply5_step
         if z.kind == BRK and cmp_hall_t(z.y, y) > 0:
-            return ("PLY5", (("x", z.x), ("y", z.y), ("z", y), ("u", w)),
-                    _ply5_step, (z.x, z.y, y, w, -1))
+            return "PLY5", (("x", z.x), ("y", z.y), ("z", y), ("u", w)), _ply5_mid_step
     return None
 
 
 def head_rewrite(s):
-    """Rewrite a redex whose children are all in the basis.
+    """Rewrite a redex whose children are all in the basis: the expander
+    that ``_match`` finds, applied to the values of its bindings.
 
     Returns (rule name, bindings, replacement combination).
     """
     m = _match(s)
     if m is None:
         raise InternalRewriteError("no rule applies to %r" % s)
-    rule, bindings, expand, args = m
-    return rule, bindings, expand(*args)
+    rule, bindings, expand = m
+    return rule, bindings, expand(*(v for _, v in bindings))
 
 
 # -- the worklist loop ----------------------------------------------------------------

@@ -46,16 +46,15 @@ _WORDS_CACHE = {}
 
 def words_for_multiset(letters, cmp):
     """Every OSBB word over the given letter multiset, as a tuple."""
-    ms = tuple(sorted(letters, key=canon_key))
-    key = (cmp, ms)
-    res = _WORDS_CACHE.get(key)
-    if res is not None:
-        return res
+    return _words(tuple(sorted(letters, key=canon_key)), cmp)
+
+
+@memo(_WORDS_CACHE)
+def _words(ms, cmp):
     out = [osbb_word((), ms)]
-    cnt = Counter(ms)
-    distinct = sorted(cnt, key=canon_key)
-    for y in distinct:
-        for z in distinct:
+    cnt = Counter(ms)   # its keys are in ``ms`` order, sorted
+    for y in cnt:
+        for z in cnt:
             if cmp(y, z) <= 0:
                 continue
             rem = cnt.copy()
@@ -70,9 +69,7 @@ def words_for_multiset(letters, cmp):
                 rest_tuple = tuple(t for t, k in rest.items() for _ in range(k))
                 for tail_word in words_for_multiset(rest_tuple, cmp):
                     out.append(osbb_word((blk,) + tail_word.blocks, tail_word.tail))
-    res = tuple(out)
-    _WORDS_CACHE[key] = res
-    return res
+    return tuple(out)
 
 
 _COMPONENTS = {}

@@ -9,9 +9,7 @@ the vertex count ``vc`` and bracket count ``bc`` (and a word's ``length``)
 from the children once, at construction.
 
 Every per-term cache of the package is a module-level table filled by one
-decorator, ``memo``; only the interning tables and the two caches that
-normalize their key first (``osbb.words_for_multiset``,
-``normal._expand_sym``) are written by hand.
+decorator, ``memo``; only the interning tables are written by hand.
 
 Node kinds
     Gen        generator (every basis)
@@ -246,14 +244,8 @@ def subterms(t):
     if t.kind == GRAFT:
         return tuple((("b", i), b) for i, b in enumerate(t.branches)) + (("root", t.root),)
     if t.kind == OGRAFT:
-        out = []
-        for i, b in enumerate(t.word.blocks):
-            out.extend(((("blk", i, "s", j), s) for j, s in enumerate(b.sym)))
-            out.append((("blk", i, "y"), b.y))
-            out.append((("blk", i, "z"), b.z))
-        out.extend(((("tail", j), s) for j, s in enumerate(t.word.tail)))
-        out.append((("root",), t.root))
-        return tuple(out)
+        return (tuple((("w", i), l) for i, l in enumerate(t.word.letters()))
+                + (("root", t.root),))
     if t.kind == SYMGRAFT:
         return tuple((("s", i), b) for i, b in enumerate(t.sym)) + (("root", t.root),)
     return (tuple((("s", i), b) for i, b in enumerate(t.sym))

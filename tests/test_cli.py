@@ -63,6 +63,10 @@ def test_enum(capsys):
     code, out, _ = run(capsys, "enum", "--basis", "B", "--n", "3", "--gens", "1")
     assert code == 0
     assert out.splitlines() == ["bk(sg(a; a), a)", "sg(sg(a; a); a)", "sg(a, a; a)"]
+    code, out, _ = run(capsys, "enum", "--basis", "B", "--n", "3", "--gens", "1", "--json")
+    assert code == 0
+    assert out == ('{"basis": "B", "count": 3, "elements": ["bk(sg(a; a), a)", '
+                   '"sg(sg(a; a); a)", "sg(a, a; a)"], "n": 3}\n')
 
 
 def test_enum_lat(capsys):
@@ -75,6 +79,9 @@ def test_osbb(capsys):
     code, out, _ = run(capsys, "osbb", "w(a,b)", "--gens", "a,b")
     assert code == 0
     assert "s(a, b)" in out and "-1/2" in out
+    code, out, _ = run(capsys, "osbb", "w(a, b) - w(a, b)")
+    assert code == 0
+    assert out == "0\n"
 
 
 def test_phi_and_inverse(capsys):

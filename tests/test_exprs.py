@@ -6,6 +6,7 @@ import pytest
 from plyalg.bases import from_shat, t_value
 from plyalg.exprs import (ElabError, ParseError, parse_algebra, parse_tensor,
                           render_lincomb, render_term, lincomb_json)
+from plyalg.hall import leaf
 from plyalg.normal import enumerate_B
 from plyalg.bases import enumerate_S, enumerate_Shat
 from plyalg.terms import Alphabet, LinComb, brk, graft
@@ -81,6 +82,16 @@ def test_render_examples():
     assert render_term(brk(g2, a)) == "bk(gr(a; a), a)"
     assert render_lincomb(LinComb.of(brk(g2, a), Fraction(-1))) == "-1 * bk(gr(a; a), a)"
     assert render_lincomb(LinComb.of(a, Fraction(1, 2))) == "1/2 * a"
+
+
+def test_render_tensor_words_and_magma_nodes():
+    # a sum of algebra and tensor elements promotes the algebra part to
+    # one-letter words; both kinds of word render and parse back
+    x = parse_tensor("a + w(a, b)", A2)
+    assert len(x) == 2
+    assert parse_tensor(render_lincomb(x), A2) == x
+    assert repr(x) == render_lincomb(x) == "w(a, b) + a"
+    assert repr(LinComb.of(leaf(a))) == "Leaf(a)"
 
 
 def test_roundtrip_tree_basis():

@@ -6,7 +6,7 @@ brackets, symmetric grafts and grade-6 trees over two generators (the change
 into triple coordinates and back), of the Hall normal forms of every
 ternary bracketing of a fixed size, and of the normalizer's step sequence
 on the residuals of one suite and, with every step's bindings and image, on
-two trees whose redexes lie up to three levels deep. A change that alters normal forms, report
+two trees whose redexes lie up to three levels deep, and of one PLY5 image. A change that alters normal forms, report
 text or the steps taken on purpose updates these digests and says why."""
 import hashlib
 import itertools
@@ -14,13 +14,14 @@ from collections import Counter
 
 import pytest
 
+from plyalg.bases import cmp_t
 from plyalg.cli import main
 from plyalg.exprs import parse_algebra, render_lincomb, render_term
 from plyalg.hall import leaf, lts_hall_rewrite, node3
-from plyalg.normal import normalize
+from plyalg.normal import head_rewrite, normalize
 from plyalg.orders import cmp_gen
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
-from plyalg.terms import Alphabet, LinComb
+from plyalg.terms import Alphabet, LinComb, brk, symgraft, triple
 
 GOLDEN = {
     "ply-axioms-6": (("--suite", "ply-axioms", "--max-vertices", "6"), "b7cc45d682e06efc"),
@@ -163,3 +164,18 @@ def test_deep_step_digest():
         lines.append("= %s\n" % render_lincomb(out))
     assert depths == {0: 309, 1: 141, 2: 44, 3: 6} and len(lines) == 502
     assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == "b67fd1a33ab7c9ff"
+
+
+def test_ply5_middle_slot_digest():
+    # PLY5's middle-slot form, [z,[[x,y]],u] = −[[[x,y]],z,u] rewritten by
+    # the first form: the one input known to reach it; only its head step is
+    # pinned, since normalizing it further raises OrderConflictError
+    a, b = Alphabet(["a", "b"]).gens
+    tbab, tbaa = triple((), b, a, b), triple((), b, a, a)
+    y = brk(tbab, symgraft((a, a), a))
+    rule, bindings, image = head_rewrite(triple((), y, brk(tbab, tbaa), tbaa))
+    assert rule == "PLY5"
+    assert bindings == (("x", tbab), ("y", tbaa), ("z", y), ("u", tbaa))
+    assert len(image) == 5
+    text = render_lincomb(image, order=cmp_t)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "bcc1495c6a502b31"

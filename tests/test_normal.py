@@ -195,6 +195,22 @@ def test_trace_tampering_detected():
     tampered = RewriteStep(s0.rule, s0.term, s0.path, s0.bindings,
                            s0.after.scale(Fraction(2)))
     assert not check_trace(x, out, _retrace(trace, (tampered,) + trace.steps[1:]))
+    # a valid trace replayed against another input
+    other = x + LinComb.of(a)
+    assert not check_trace(other, out, trace)
+    with pytest.raises(AssertionError, match="trace input does not match"):
+        check_trace(other, out, trace, explain=True)
+
+
+def test_trace_ending_outside_the_basis_rejected():
+    # an empty trace whose output is its own start, a PLY2 redex
+    x = LinComb.of(symgraft((A2.gens[0],), brk(A2.gens[1], A2.gens[0])))
+    start = normal._start(x)
+    assert not all(is_B(t) for t in start)
+    empty = RewriteTrace(start, start, ())
+    assert not check_trace(x, start, empty)
+    with pytest.raises(AssertionError, match="output contains non-basis terms"):
+        check_trace(x, start, empty, explain=True)
 
 
 def test_trace_bad_path_rejected():
