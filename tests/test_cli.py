@@ -78,10 +78,28 @@ def test_enum_lat(capsys):
 def test_osbb(capsys):
     code, out, _ = run(capsys, "osbb", "w(a,b)", "--gens", "a,b")
     assert code == 0
-    assert "s(a, b)" in out and "-1/2" in out
+    assert out == "w(s(a, b)) + -1/2 * w(lb(b, a))\n"
     code, out, _ = run(capsys, "osbb", "w(a, b) - w(a, b)")
     assert code == 0
     assert out == "0\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("osbb", "w(a,b,a)"),
+     '{"terms": [{"coeff": "1", "expr": "w(s(a, a, b))"}, '
+     '{"coeff": "-1/3", "expr": "w(lb(b, a), s(a))"}, '
+     '{"coeff": "1/3", "expr": "w(s(a), lb(b, a))"}]}'),
+    (("phi", "gr(a,b;a)"),
+     '{"terms": [{"coeff": "1", "expr": "sg(b, a; a)"}, '
+     '{"coeff": "-1/2", "expr": "tb(b, a, a)"}]}'),
+    (("phi-inv", "tb(sg(a;a),a,a)"),
+     '{"terms": [{"coeff": "1", "expr": "tri(w(lb(sg(a; a), a)), a)"}]}'),
+    (("ly", "gr(a;a)", "a", "a"),
+     '{"terms": [{"coeff": "-1", "expr": "tb(sg(a; a), a, a)"}, '
+     '{"coeff": "1", "expr": "sg(bk(sg(a; a), a); a)"}]}'),
+], ids=["osbb", "phi", "phi-inv", "ly"])
+def test_json_lines(capsys, argv, line):
+    assert run(capsys, *argv, "--json") == (0, line + "\n", "")
 
 
 def test_phi_and_inverse(capsys):
@@ -136,6 +154,25 @@ def test_bad_sizes_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# the bounds are checked after parsing, and a value that is not an integer
+# is argparse's own error
+@pytest.mark.parametrize("argv, line", [
+    (("enum", "--basis", "S", "--n", "0"), "--n must be at least 1, got 0"),
+    (("dims", "--basis", "B", "--max-n", "-2"), "--max-n must be at least 1, got -2"),
+    (("normalize", "a", "--fuel", "-5"), "--fuel must be at least 0, got -5"),
+    (("check", "--suite", "census", "--max-vertices", "0"),
+     "--max-vertices must be at least 1, got 0"),
+    (("check", "--suite", "ply-axioms", "--samples", "-1"),
+     "--samples must be at least 0, got -1"),
+    (("enum", "--basis", "B", "--n", "x"), "argument --n: invalid int value: 'x'"),
+    (("normalize", "a", "--fuel", "x"), "argument --fuel: invalid int value: 'x'"),
+    (("normalize", "a", "--gens", "a,a"), "--gens repeats a generator name"),
+], ids=["n", "max-n", "fuel", "max-vertices", "samples", "n-not-int", "fuel-not-int",
+        "gens-repeated"])
+def test_usage_error_messages(capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", "usage error: %s\n" % line)
 
 
 def test_parse_error_exit_1(capsys):
