@@ -1,4 +1,6 @@
-"""Command-line surface.
+"""Command-line surface: each command is one handler function; the options
+that several commands share (``--gens``, ``--json``, ``--fuel``) are declared
+once, and every linear combination is printed by one renderer.
 
 Exit codes: 0 success, 1 usage/parse/elaboration error, an unwritable
 trace file or a standard output closed before the output was written (one
@@ -17,8 +19,7 @@ import sys
 from .bases import (cmp_t, enumerate_Bhat, enumerate_S, enumerate_Shat,
                     enumerate_T, phi_inv_lin, phi_lin, shat_to_t, to_shat)
 from .exprs import (ElabError, ParseError, lincomb_json, parse_algebra,
-                    parse_tensor, render_lincomb, render_term, render_word,
-                    tokenize)
+                    parse_tensor, render_lincomb, render_term, tokenize)
 from .normal import (DEFAULT_FUEL, FuelExhausted, InternalRewriteError,
                      OrderConflictError, enumerate_B, enumerate_B_lat, normalize)
 from .orders import cmp_shat
@@ -48,9 +49,17 @@ def _size(k):
     return k
 
 
-def _alphabet(spec):
+def _alphabet(spec, texts=()):
+    """The alphabet ``--gens`` sizes or names; without it, the identifiers of
+    ``texts`` the reader takes for generators (those not followed by ``(``),
+    in alphabetical order, or ``a`` alone when there are none."""
     if spec is None:
-        return None
+        names = set()
+        for text in texts:
+            toks = tokenize(text)
+            names.update(t[1] for t, nxt in zip(toks, toks[1:])
+                         if t[0] == "ident" and nxt[0] != "(")
+        return Alphabet(sorted(names or {"a"}))
     try:
         k = int(spec)
     except ValueError:
@@ -63,22 +72,14 @@ def _alphabet(spec):
     return Alphabet.of_size(_size(k))
 
 
-def _infer_alphabet(texts):
-    """The identifiers not followed by ``(`` (those the reader takes for
-    generators), in alphabetical order; ``a`` alone when there are none."""
-    names = set()
-    for text in texts:
-        toks = tokenize(text)
-        names.update(t[1] for t, nxt in zip(toks, toks[1:])
-                     if t[0] == "ident" and nxt[0] != "(")
-    return Alphabet(sorted(names or {"a"}))
+def _read(args, *texts):
+    alphabet = _alphabet(args.gens, texts)
+    return [parse_algebra(t, alphabet) for t in texts]
 
 
-def _emit_lincomb(x, use_json, order=None):
-    if use_json:
-        print(json.dumps(lincomb_json(x, order=order), sort_keys=True))
-    else:
-        print(render_lincomb(x, order=order))
+def _emit_lincomb(x, use_json, order):
+    print(json.dumps(lincomb_json(x, order=order), sort_keys=True) if use_json
+          else render_lincomb(x, order=order))
 
 
 def _trace_hash(x):
@@ -102,164 +103,121 @@ def _write_trace(path, trace):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _normalize(args):
+    nf, trace = normalize(*_read(args, args.expr), fuel=args.fuel)
+    if args.trace:
+        try:
+            _write_trace(args.trace, trace)
+        except OSError as e:
+            raise TraceFileError("cannot write trace %s: %s"
+                                 % (args.trace, e.strerror or e)) from None
+    _emit_lincomb(nf, args.json, order=cmp_t)
+
+
 _ENUMERATE = {"S": enumerate_S, "Bhat": enumerate_Bhat, "Shat": enumerate_Shat,
               "T": enumerate_T, "B": enumerate_B, "LAT": enumerate_B_lat}
-_BASES = tuple(_ENUMERATE)
+
+
+def _enum(args):
+    elems = _ENUMERATE[args.basis](args.n, _alphabet(args.gens))
+    if args.json:
+        print(json.dumps({"basis": args.basis, "n": args.n, "count": len(elems),
+                          "elements": list(map(render_term, elems))}, sort_keys=True))
+    else:
+        for t in elems:
+            print(render_term(t))
+
+
+def _dims(args):
+    alphabet = _alphabet(args.gens)
+    print(" ".join(str(len(_ENUMERATE[args.basis](n, alphabet)))
+                   for n in range(1, args.max_n + 1)))
+
+
+def _by_word_key(u, v):
+    # _emit_lincomb lists the largest first: this lists by increasing word_key
+    ku, kv = word_key(u), word_key(v)
+    return (ku < kv) - (ku > kv)
+
+
+def _osbb(args):
+    d = parse_tensor(args.expr, _alphabet(args.gens, [args.expr]))
+    shat_words = d.map_terms(lambda w: word_lincomb([to_shat(l) for l in w]))
+    _emit_lincomb(decompose(shat_words, cmp_shat), args.json, order=_by_word_key)
+
+
+def _phi(args):
+    _emit_lincomb(phi_lin(to_shat(*_read(args, args.expr))), args.json, order=cmp_t)
+
+
+def _phi_inv(args):
+    _emit_lincomb(phi_inv_lin(shat_to_t(to_shat(*_read(args, args.expr)))), args.json,
+                  order=cmp_shat)
+
+
+def _ly(args):
+    _emit_lincomb(ly_triple(*_read(args, args.x, args.y, args.z), fuel=args.fuel),
+                  args.json, order=cmp_t)
+
+
+def _check(args):
+    kwargs = {k: getattr(args, k) for k in ("max_vertices", "samples")
+              if getattr(args, k) is not None}
+    if args.gens is not None:
+        # the suites build their own alphabet of this size
+        kwargs["gens"] = _size(len(_alphabet(args.gens)))
+    passed, report = SUITES[args.suite](seed=args.seed, **kwargs)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0 if passed else 3
+
+
+# the lowest value of each integer option
+_AT_LEAST = {"fuel": 0, "n": 1, "max_n": 1, "max_vertices": 1, "samples": 0}
 
 
 def build_parser():
     p = _Parser(prog="plyalg", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
+    gens, as_json, fuel, expr, basis = (_Parser(add_help=False) for _ in range(5))
+    gens.add_argument("--gens")
+    as_json.add_argument("--json", action="store_true")
+    fuel.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    expr.add_argument("expr")
+    basis.add_argument("--basis", required=True, choices=tuple(_ENUMERATE))
 
-    np = sub.add_parser("normalize", help="normalize an expression onto the basis")
-    np.add_argument("expr")
-    np.add_argument("--gens", default=None)
-    np.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    np.add_argument("--trace", default=None, metavar="FILE")
-    np.add_argument("--json", action="store_true")
+    def command(name, handler, help, *parents):
+        sp = sub.add_parser(name, help=help, parents=(gens,) + parents)
+        sp.set_defaults(handler=handler)
+        return sp
 
-    ep = sub.add_parser("enum", help="list basis elements of one grade")
-    ep.add_argument("--basis", required=True, choices=_BASES)
-    ep.add_argument("--n", type=int, required=True)
-    ep.add_argument("--gens", default="1")
-    ep.add_argument("--json", action="store_true")
-
-    dp = sub.add_parser("dims", help="graded dimensions up to --max-n")
-    dp.add_argument("--basis", required=True, choices=_BASES)
-    dp.add_argument("--max-n", type=int, required=True)
-    dp.add_argument("--gens", default="1")
-
-    op = sub.add_parser("osbb", help="decompose a tensor word expression")
-    op.add_argument("expr")
-    op.add_argument("--gens", default=None)
-    op.add_argument("--json", action="store_true")
-
-    pp = sub.add_parser("phi", help="apply the basis automorphism")
-    pp.add_argument("expr")
-    pp.add_argument("--gens", default=None)
-    pp.add_argument("--json", action="store_true")
-
-    ip = sub.add_parser("phi-inv", help="apply the inverse automorphism")
-    ip.add_argument("expr")
-    ip.add_argument("--gens", default=None)
-    ip.add_argument("--json", action="store_true")
-
-    lp = sub.add_parser("ly", help="the Lie-Yamaguti ternary operation")
-    lp.add_argument("x")
-    lp.add_argument("y")
-    lp.add_argument("z")
-    lp.add_argument("--gens", default=None)
-    lp.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    lp.add_argument("--json", action="store_true")
-
-    cp = sub.add_parser("check", help="run a verification suite")
+    command("normalize", _normalize, "normalize an expression onto the basis",
+            expr, fuel, as_json).add_argument("--trace", metavar="FILE")
+    command("enum", _enum, "list basis elements of one grade",
+            basis, as_json).add_argument("--n", type=int, required=True)
+    command("dims", _dims, "graded dimensions up to --max-n",
+            basis).add_argument("--max-n", type=int, required=True)
+    command("osbb", _osbb, "decompose a tensor word expression", expr, as_json)
+    command("phi", _phi, "apply the basis automorphism", expr, as_json)
+    command("phi-inv", _phi_inv, "apply the inverse automorphism", expr, as_json)
+    lp = command("ly", _ly, "the Lie-Yamaguti ternary operation", fuel, as_json)
+    for name in "xyz":
+        lp.add_argument(name)
+    cp = command("check", _check, "run a verification suite")
     cp.add_argument("--suite", required=True, choices=sorted(SUITES))
-    cp.add_argument("--max-vertices", type=int, default=None)
-    cp.add_argument("--samples", type=int, default=None)
+    cp.add_argument("--max-vertices", type=int)
+    cp.add_argument("--samples", type=int)
     cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("--gens", default=None)
     return p
 
 
 def run(argv):
     args = build_parser().parse_args(argv)
-
-    if args.cmd in ("normalize", "ly") and args.fuel < 0:
-        raise UsageError("--fuel must be at least 0, got %d" % args.fuel)
-
-    if args.cmd == "normalize":
-        alphabet = _alphabet(args.gens) or _infer_alphabet([args.expr])
-        nf, trace = normalize(parse_algebra(args.expr, alphabet), fuel=args.fuel)
-        if args.trace:
-            try:
-                _write_trace(args.trace, trace)
-            except OSError as e:
-                raise TraceFileError("cannot write trace %s: %s"
-                                     % (args.trace, e.strerror or e)) from None
-        _emit_lincomb(nf, args.json, order=cmp_t)
-        return 0
-
-    if args.cmd == "enum":
-        if args.n < 1:
-            raise UsageError("--n must be at least 1, got %d" % args.n)
-        alphabet = _alphabet(args.gens)
-        elems = _ENUMERATE[args.basis](args.n, alphabet)
-        if args.json:
-            print(json.dumps({"basis": args.basis, "n": args.n,
-                              "count": len(elems),
-                              "elements": [render_term(t) for t in elems]},
-                             sort_keys=True))
-        else:
-            for t in elems:
-                print(render_term(t))
-        return 0
-
-    if args.cmd == "dims":
-        if args.max_n < 1:
-            raise UsageError("--max-n must be at least 1, got %d" % args.max_n)
-        alphabet = _alphabet(args.gens)
-        dims = [len(_ENUMERATE[args.basis](n, alphabet))
-                for n in range(1, args.max_n + 1)]
-        print(" ".join(map(str, dims)))
-        return 0
-
-    if args.cmd == "osbb":
-        alphabet = _alphabet(args.gens) or _infer_alphabet([args.expr])
-        d = parse_tensor(args.expr, alphabet)
-        shat_words = d.map_terms(lambda w: word_lincomb([to_shat(l) for l in w]))
-        dec = decompose(shat_words, cmp_shat)
-        items = sorted(dec.items(), key=lambda tc: word_key(tc[0]))
-        if args.json:
-            print(json.dumps({"terms": [{"coeff": str(c), "expr": render_word(w, tuple)}
-                                        for w, c in items]}, sort_keys=True))
-        else:
-            if not items:
-                print("0")
-            else:
-                print(" + ".join(render_word(w, tuple) if c == 1
-                                 else "%s * %s" % (c, render_word(w, tuple))
-                                 for w, c in items))
-        return 0
-
-    if args.cmd in ("phi", "phi-inv"):
-        alphabet = _alphabet(args.gens) or _infer_alphabet([args.expr])
-        x = parse_algebra(args.expr, alphabet)
-        coords = to_shat(x)
-        if args.cmd == "phi":
-            out = phi_lin(coords)
-            _emit_lincomb(out, args.json, order=cmp_t)
-        else:
-            out = phi_inv_lin(shat_to_t(coords))
-            _emit_lincomb(out, args.json, order=cmp_shat)
-        return 0
-
-    if args.cmd == "ly":
-        alphabet = _alphabet(args.gens) or _infer_alphabet([args.x, args.y, args.z])
-        vx = parse_algebra(args.x, alphabet)
-        vy = parse_algebra(args.y, alphabet)
-        vz = parse_algebra(args.z, alphabet)
-        _emit_lincomb(ly_triple(vx, vy, vz, fuel=args.fuel), args.json, order=cmp_t)
-        return 0
-
-    if args.cmd == "check":
-        if args.max_vertices is not None and args.max_vertices < 1:
-            raise UsageError("--max-vertices must be at least 1, got %d" % args.max_vertices)
-        if args.samples is not None and args.samples < 0:
-            raise UsageError("--samples must be at least 0, got %d" % args.samples)
-        fn = SUITES[args.suite]
-        kwargs = {"seed": args.seed}
-        if args.max_vertices is not None:
-            kwargs["max_vertices"] = args.max_vertices
-        if args.samples is not None:
-            kwargs["samples"] = args.samples
-        if args.gens is not None:
-            # the suites build their own alphabet of this size
-            kwargs["gens"] = _size(len(_alphabet(args.gens)))
-        passed, report = fn(**kwargs)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if passed else 3
-
-    raise UsageError("unknown command")
+    for dest, low in _AT_LEAST.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < low:
+            raise UsageError("--%s must be at least %d, got %d"
+                             % (dest.replace("_", "-"), low, value))
+    return args.handler(args) or 0
 
 
 def main(argv=None):

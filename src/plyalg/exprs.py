@@ -22,11 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 
-from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, Term,
-                    canon_key, graft, multilinear)
-from .tensor import (graft_product, letters_to_words, lie_word, symmetrize,
-                     tensor_mul, tree_brk, triangle, triple_bracket, unit,
-                     word_act_trees, words_to_letters)
+from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, OsbbWord,
+                    Term, canon_key, graft, multilinear)
+from .tensor import (letters_to_words, lie_word, symmetrize, tensor_mul, tree_brk,
+                     triangle, triple_bracket, unit, words_to_letters)
 
 # Most calls that may be open at once. The reader takes 3 frames per open
 # call and the engine up to 5 per level of the term it converts, against the
@@ -243,17 +242,18 @@ def _call(fn, vals, rvals, line, col):
         if () in word.terms:
             raise ElabError("%s needs at least one branch (line %d, column %d)"
                             % (fn, line, col))
-        if fn == "gr":
-            return "A", multilinear(lambda w, r: LinComb.of(graft(w, r)), word, root)
-        return "A", word_act_trees(symmetrize(word), root)
+        # a word acting on a generator or bracket root is its planar graft
+        # (see bases.shat_elem_to_t), so sg(x, ...; r) is gr(s(x, ...); r)
+        if fn == "sg":
+            word = symmetrize(word)
+        return "A", multilinear(lambda w, r: LinComb.of(graft(w, r)), word, root)
     if fn in ("s", "w"):
         need(None)
         word = concat()
         return "D", symmetrize(word) if fn == "s" else word
     if fn == "tri":
         need(2)
-        return "D", triangle(_as_d(*vals[0]), _as_d(*vals[1]),
-                             lambda a, b: graft_product(a, b))
+        return "D", triangle(_as_d(*vals[0]), _as_d(*vals[1]))
     if fn == "lb":
         need(2)
         return "D", lie_word(_as_d(*vals[0]), _as_d(*vals[1]))
@@ -287,8 +287,8 @@ def render_term(t):
         if len(t) == 1:
             return render_term(t[0])
         return "w(%s)" % ", ".join(render_term(l) for l in t)
-    if not isinstance(t, Term):  # a magma node or an OSBB word
-        return repr(t)
+    if not isinstance(t, Term):  # an OSBB word or a magma node
+        return render_word(t, tuple) if isinstance(t, OsbbWord) else repr(t)
     if t.kind == GEN:
         return t.name
     if t.kind == BRK:

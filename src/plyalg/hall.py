@@ -163,9 +163,10 @@ def _rewrite(t, cmpl):
     return _step(t, cmpl)
 
 
-def lts_hall_rewrite(x, cmpl, fuel=10 ** 6):
+def lts_hall_rewrite(x, cmpl):
     """Rewrite a combination of ternary bracketings into Hall elements."""
     work = LinComb(dict(x.terms)) if isinstance(x, LinComb) else LinComb.of(x)
+    fuel = 10 ** 6  # the most steps before giving up
     while True:
         for t in work:
             if not is_lts_hall(t, cmpl):

@@ -4,9 +4,8 @@ length >= 2 acting), plus the word commutator, the triple-bracket, and the
 symmetrization map.
 
 Tensor words are plain tuples of basis elements; the empty tuple is the unit.
-``triangle`` is parameterized by the base product on single letters so the
-same engine serves the one-operator algebra, the two-operator algebra, and
-test doubles.
+``triangle`` extends ``graft_product``, the free product of two tree-basis
+letters.
 """
 from __future__ import annotations
 
@@ -68,39 +67,38 @@ def symmetrize(x):
     return out
 
 
-def triangle(u, v, base):
+def triangle(u, v):
     """Triangle product of word combinations.
 
-    ``base(x, y) -> LinComb over letters`` is the product of two single
-    letters. The empty word acts as the identity on the left; a nonempty word
-    acting on the empty word gives 0.
+    Two single letters multiply by ``graft_product``. The empty word acts as
+    the identity on the left; a nonempty word acting on the empty word gives 0.
     """
-    return multilinear(lambda wu, wv: _tri_words(wu, wv, base), u, v)
+    return multilinear(_tri_words, u, v)
 
 
-def _tri_words(wu, wv, base):
+def _tri_words(wu, wv):
     if not wu:
         return LinComb.of(wv)
     if not wv:
         return LinComb()
     if len(wu) == 1:
-        return _derive(wu[0], wv, base)
+        return _derive(wu[0], wv)
     # (x · rest) ▷ v  =  x ▷ (rest ▷ v)  -  (x ▷ rest) ▷ v
     x, rest = wu[0], wu[1:]
-    out = _tri_words(rest, wv, base).map_terms(lambda w: _tri_words((x,), w, base))
-    deriv = _derive(x, rest, base)
+    out = _tri_words(rest, wv).map_terms(lambda w: _tri_words((x,), w))
+    deriv = _derive(x, rest)
     for w, c in deriv.items():
-        out.add_in(_tri_words(w, wv, base), -c)
+        out.add_in(_tri_words(w, wv), -c)
     return out
 
 
-def _derive(x, w, base):
+def _derive(x, w):
     """Single letter acting on a word as a derivation."""
     if len(w) == 1:
-        return letters_to_words(base(x, w[0]))
+        return letters_to_words(graft_product(x, w[0]))
     out = LinComb()
     for i in range(len(w)):
-        for t, c in base(x, w[i]).items():
+        for t, c in graft_product(x, w[i]).items():
             out.add_in(LinComb.of(w[:i] + (t,) + w[i + 1:]), c)
     return out
 
@@ -148,5 +146,4 @@ def triple_bracket(x, y, z):
 
 def word_act_trees(w, v):
     """A word combination of tree-basis letters acting on a tree combination."""
-    return words_to_letters(triangle(w, letters_to_words(v),
-                                     lambda a, b: graft_product(a, b)))
+    return words_to_letters(triangle(w, letters_to_words(v)))

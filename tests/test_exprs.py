@@ -1,4 +1,5 @@
 """Expression parsing, elaboration, and printing round trips."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,9 @@ from plyalg.exprs import (ElabError, ParseError, parse_algebra, parse_tensor,
                           render_lincomb, render_term, lincomb_json)
 from plyalg.hall import leaf
 from plyalg.normal import enumerate_B
+from plyalg.orders import cmp_shat
+from plyalg.osbb import decompose
+from plyalg.tensor import symmetrize, word_act_trees
 from plyalg.bases import enumerate_S, enumerate_Shat
 from plyalg.terms import Alphabet, LinComb, brk, graft
 
@@ -77,6 +81,17 @@ def test_sg_matches_symmetrized_graft():
     assert x == y
 
 
+@pytest.mark.parametrize("branches, root", [
+    ("b", "a"), ("a, b", "a"), ("b, a, b", "bk(a, b)"), ("gr(a; b), a", "b"),
+    ("a + b, bk(b, a)", "a - 2 * bk(a, b)")])
+def test_sg_is_the_symmetric_word_acting_on_its_root(branches, root):
+    # the reader grafts the symmetrized word; the word's action is the
+    # triangle product's associator recursion
+    word = parse_tensor("w(%s)" % branches, A2)
+    expected = word_act_trees(symmetrize(word), parse_algebra(root, A2))
+    assert parse_algebra("sg(%s; %s)" % (branches, root), A2) == expected
+
+
 def test_render_examples():
     g2 = graft((a,), a)
     assert render_term(brk(g2, a)) == "bk(gr(a; a), a)"
@@ -92,6 +107,16 @@ def test_render_tensor_words_and_magma_nodes():
     assert parse_tensor(render_lincomb(x), A2) == x
     assert repr(x) == render_lincomb(x) == "w(a, b) + a"
     assert repr(LinComb.of(leaf(a))) == "Leaf(a)"
+
+
+def test_render_osbb_decomposition_parses_back():
+    # an OSBB word prints as w(...) of s(...) and lb(y, z) items, which read
+    # back as the tensor element it stands for; a magma node prints by repr
+    for n in range(4):
+        for w in itertools.product(A2.gens, repeat=n):
+            x = LinComb.of(w)
+            assert parse_tensor(render_lincomb(decompose(x, cmp_shat)), A2) == x
+    assert render_term(leaf(a)) == repr(leaf(a)) == "Leaf(a)"
 
 
 def test_roundtrip_tree_basis():

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 from plyalg.bases import enumerate_Bhat
-from plyalg.tensor import (graft_product, letters_to_words, lie_word,
-                           symmetrize, tensor_mul, tree_mul, triangle,
-                           triple_bracket, unit, word_act_trees)
+from plyalg.tensor import (letters_to_words, lie_word, symmetrize, tensor_mul,
+                           tree_mul, triangle, triple_bracket, unit,
+                           word_act_trees)
 from plyalg.terms import Alphabet, LinComb, graft
 
 A = Alphabet.of_size(3)
@@ -31,27 +31,24 @@ def test_bilinearity():
     assert tensor_mul(olc(a) + olc(b), olc(c)) == olc(a, c) + olc(b, c)
 
 
-def _tri(u, v):
-    return triangle(u, v, graft_product)
-
-
 def test_associator_rule():
     # (x · y) ▷ z  =  x ▷ (y ▷ z) − (x ▷ y) ▷ z
-    lhs = _tri(olc(a, b), olc(c))
-    rhs = _tri(olc(a), _tri(olc(b), olc(c))) - _tri(_tri(olc(a), olc(b)), olc(c))
+    lhs = triangle(olc(a, b), olc(c))
+    rhs = (triangle(olc(a), triangle(olc(b), olc(c)))
+           - triangle(triangle(olc(a), olc(b)), olc(c)))
     assert lhs == rhs
 
 
 def test_forest_graft_is_tree():
     # (t1 ... tn) ▷ c builds the planar tree directly
     t1, t2 = graft((a,), a), b
-    lhs = _tri(olc(t1, t2), olc(c))
+    lhs = triangle(olc(t1, t2), olc(c))
     assert lhs == olc(graft((t1, t2), c))
 
 
 def test_unit_rules():
-    assert _tri(unit(), olc(a, b)) == olc(a, b)
-    assert _tri(olc(a), unit()) == LinComb.zero()
+    assert triangle(unit(), olc(a, b)) == olc(a, b)
+    assert triangle(olc(a), unit()) == LinComb.zero()
 
 
 def test_lie_word():
@@ -113,7 +110,7 @@ def test_derivation_rule_sampled(A2):
         w2 = tuple(rng.choice(pool) for _ in range(rng.randint(1, 2)))
         if x.vc + sum(t.vc for t in w1 + w2) > 6:
             continue
-        lhs = _tri(olc(x), olc(*(w1 + w2)))
-        rhs = (tensor_mul(_tri(olc(x), olc(*w1)), olc(*w2))
-               + tensor_mul(olc(*w1), _tri(olc(x), olc(*w2))))
+        lhs = triangle(olc(x), olc(*(w1 + w2)))
+        rhs = (tensor_mul(triangle(olc(x), olc(*w1)), olc(*w2))
+               + tensor_mul(olc(*w1), triangle(olc(x), olc(*w2))))
         assert lhs == rhs
