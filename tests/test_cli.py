@@ -239,10 +239,21 @@ def test_nesting_limit_normalizes(capsys, frames):
      "expression is a tensor element, not an algebra element"),
     (("gr(a; w(a, a))", "--gens", "a"), "gr root is a tensor element, not an algebra element"),
     (("bk(c, a", "--gens", "a"), "unknown generator 'c' (line 1, column 4)"),
+    # positions past line 1: a newline starts column 1 of the next line,
+    # and a tab or a carriage return is one column
+    (("bk(a,\n  $)", "--gens", "a,b"), "unexpected character '$' (line 2, column 3)"),
+    (("bk(a,\n", "--gens", "a,b"),
+     "expected 'ident', found 'end of input' (line 2, column 1)"),
+    (("bk(a,\tb c)", "--gens", "a,b"), "expected ')', found 'c' (line 1, column 9)"),
+    (("bk(a, b)\n\n  a", "--gens", "a,b"), "unexpected 'a' (line 3, column 3)"),
+    (("gr(a;\r\n a) + ²", "--gens", "a,b"), "unexpected character '²' (line 2, column 7)"),
+    (("bk(a,\n  foo(a))", "--gens", "a,b"), "unknown function 'foo' (line 2, column 3)"),
 ], ids=["character", "non-decimal-digit", "expected-ident", "expected-paren",
         "trailing", "zero-denominator", "bare-number", "two-semicolons", "unknown-generator", "arity", "no-root-part",
         "needs-root", "root-kind", "no-branch", "unknown-function", "tensor-input",
-        "tensor-argument", "tensor-root", "first-error-in-reading-order"])
+        "tensor-argument", "tensor-root", "first-error-in-reading-order",
+        "line-2-character", "line-2-end-of-input", "tab-column", "line-3-trailing",
+        "carriage-return", "line-2-unknown-function"])
 def test_error_messages(capsys, argv, line):
     code, out, err = run(capsys, "normalize", *argv)
     assert (code, out, err) == (1, "", "error: %s\n" % line)
@@ -361,3 +372,4 @@ def test_check_failure_exit_3(capsys, monkeypatch):
                         lambda **kw: (False, {"pass": False}))
     code, out, _ = run(capsys, "check", "--suite", "census")
     assert code == 3 and json.loads(out)["pass"] is False
+
