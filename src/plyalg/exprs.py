@@ -11,11 +11,13 @@ Grammar (whitespace insignificant)::
 
 An identifier not followed by ``(`` is a generator. ``gr``/``sg`` take
 branches, then ``;``, then a root that must evaluate to generators and
-brackets. Values are either algebra elements (combinations over the
-planar-tree basis) or tensor elements (combinations over words of tree-basis
-terms). Text is read in one pass that evaluates each rule as it reads it, so
-the first error in reading order is the one reported, and at most
-``MAX_NESTING`` calls may be open at once.
+brackets; ``_ARGS`` lists each function's arguments. Values are either
+algebra elements (combinations over the planar-tree basis) or tensor elements
+(combinations over words of tree-basis terms, which are tuples); a value
+carries its kind in its terms, and a zero reads as either. Text is read in
+one pass that evaluates each rule as it reads it, so the first error in
+reading order is the one reported, and at most ``MAX_NESTING`` calls may be
+open at once.
 """
 from __future__ import annotations
 
@@ -50,48 +52,33 @@ _SYMBOLS = "(),;/*+-"
 
 def tokenize(text):
     toks = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
+    line, col, i, n = 1, 1, 0, len(text)
+    while i < n:
         ch = text[i]
+        j = i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _SYMBOLS:
+            line, col = line + 1, 0  # the update below makes it column 1
+        elif ch in _SYMBOLS:
             toks.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
+        elif ch.isdecimal() or ch.isalpha() or ch == "_":
+            # an integer is decimal digits; an identifier is letters, digits
+            # and '_', led by a letter or '_'
+            kind = "int" if ch.isdecimal() else "ident"
+            while j < n and (text[j].isdecimal() if kind == "int"
+                             else text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
+            toks.append((kind, text[i:j], line, col))
+        elif not ch.isspace():
+            raise ParseError("unexpected character %r" % ch, line, col)
+        col += j - i
+        i = j
     toks.append(("eof", "", line, col))
     return toks
 
 
 class _Reader:
     """Recursive descent over the tokens of one text. Each rule evaluates as
-    it reads and returns ("A" | "D", LinComb): an algebra or a tensor
-    element."""
+    it reads and returns a LinComb, an algebra or a tensor element."""
 
     def __init__(self, text, alphabet):
         self.toks = tokenize(text)
@@ -124,14 +111,14 @@ class _Reader:
     def expr(self):
         # every rule returns a new combination, so a sum accumulates into
         # its first term; one tensor part makes the whole sum a tensor
-        kind, out = self.term()
+        out = self.term()
         while self.peek()[0] in "+-":
             sign = 1 if self.next()[0] == "+" else -1
-            k, v = self.term()
-            if k != kind:
-                kind, out, v = "D", _as_d(kind, out), _as_d(k, v)
+            v = self.term()
+            if _is_d(out) != _is_d(v):
+                out, v = _as_d(out), _as_d(v)
             out.add_in(v, sign)
-        return kind, out
+        return out
 
     def term(self):
         sign = 1
@@ -153,12 +140,12 @@ class _Reader:
                 coeff = num
             if self.peek()[0] != "*":
                 if coeff == 0:
-                    return "A", LinComb()
+                    return LinComb()
                 raise ParseError("a bare number is not an element (write c * expr)",
                                  t[2], t[3])
             self.next()
-        k, v = self.atom()
-        return k, v if sign * coeff == 1 else v.scale(sign * coeff)
+        v = self.atom()
+        return v if sign * coeff == 1 else v.scale(sign * coeff)
 
     def atom(self):
         _, name, line, col = self.expect("ident")
@@ -167,7 +154,7 @@ class _Reader:
             if g is None:
                 raise ElabError("unknown generator %r (line %d, column %d)"
                                 % (name, line, col))
-            return "A", LinComb.of(g)
+            return LinComb.of(g)
         paren = self.next()
         self.depth += 1
         if self.depth > MAX_NESTING:
@@ -188,86 +175,75 @@ class _Reader:
         return _call(name, vals, rvals, line, col)
 
 
-def _as_d(kind, val):
-    return val if kind == "D" else letters_to_words(val)
+def _is_d(val):
+    """Whether a value is a tensor element: its terms are words (tuples). A
+    zero reads the same either way."""
+    return isinstance(next(iter(val.terms), None), tuple)
 
 
-def _as_a(kind, val, what="expression"):
-    if kind == "A":
+def _as_d(val):
+    return val if _is_d(val) else letters_to_words(val)
+
+
+def _as_a(val, what="expression"):
+    if not _is_d(val):
         return val
     if any(len(w) != 1 for w in val):
         raise ElabError("%s is a tensor element, not an algebra element" % what)
     return words_to_letters(val)
 
 
-def _root_check(val, fn, line, col):
-    for t in val:
-        if t.kind not in (GEN, BRK):
-            raise ElabError(
-                "%s root must elaborate to generators or brackets (line %d, column %d)"
-                % (fn, line, col))
-    return val
+# each function's arguments: how many, None for any number, or "root" for
+# one or more branches, then ';', then one root
+_ARGS = {"bk": 2, "tb": 3, "gr": "root", "sg": "root", "s": None, "w": None,
+         "tri": 2, "lb": 2}
 
 
 def _call(fn, vals, rvals, line, col):
     """The value of ``fn`` applied to the read arguments ``vals`` and, after
     a ``;``, ``rvals``."""
-
-    def need(n, with_root=False):
-        if with_root:
-            if rvals is None or len(rvals) != 1 or len(vals) < 1:
-                raise ElabError("%s expects branches ';' root (line %d, column %d)"
-                                % (fn, line, col))
-        else:
-            if rvals is not None:
-                raise ElabError("%s takes no ';' part (line %d, column %d)"
-                                % (fn, line, col))
-            if n is not None and len(vals) != n:
-                raise ElabError("%s expects %d arguments, got %d (line %d, column %d)"
-                                % (fn, n, len(vals), line, col))
-
-    def concat():
-        return reduce(tensor_mul, [_as_d(*v) for v in vals], unit())
-
+    at = " (line %d, column %d)" % (line, col)
+    if fn not in _ARGS:
+        raise ElabError("unknown function %r%s" % (fn, at))
+    n = _ARGS[fn]
+    if n == "root":
+        if rvals is None or len(rvals) != 1 or not vals:
+            raise ElabError("%s expects branches ';' root%s" % (fn, at))
+    elif rvals is not None:
+        raise ElabError("%s takes no ';' part%s" % (fn, at))
+    elif n is not None and len(vals) != n:
+        raise ElabError("%s expects %d arguments, got %d%s" % (fn, n, len(vals), at))
     if fn == "bk":
-        need(2)
-        return "A", tree_brk(_as_a(*vals[0]), _as_a(*vals[1]))
+        return tree_brk(_as_a(vals[0]), _as_a(vals[1]))
     if fn == "tb":
-        need(3)
-        return "A", triple_bracket(_as_a(*vals[0]), _as_a(*vals[1]), _as_a(*vals[2]))
-    if fn in ("gr", "sg"):
-        need(None, with_root=True)
-        root = _root_check(_as_a(*rvals[0], what=fn + " root"), fn, line, col)
-        word = concat()
-        if () in word.terms:
-            raise ElabError("%s needs at least one branch (line %d, column %d)"
-                            % (fn, line, col))
-        # a word acting on a generator or bracket root is its planar graft
-        # (see bases.shat_elem_to_t), so sg(x, ...; r) is gr(s(x, ...); r)
-        if fn == "sg":
-            word = symmetrize(word)
-        return "A", multilinear(lambda w, r: LinComb.of(graft(w, r)), word, root)
-    if fn in ("s", "w"):
-        need(None)
-        word = concat()
-        return "D", symmetrize(word) if fn == "s" else word
+        return triple_bracket(_as_a(vals[0]), _as_a(vals[1]), _as_a(vals[2]))
     if fn == "tri":
-        need(2)
-        return "D", triangle(_as_d(*vals[0]), _as_d(*vals[1]))
+        return triangle(_as_d(vals[0]), _as_d(vals[1]))
     if fn == "lb":
-        need(2)
-        return "D", lie_word(_as_d(*vals[0]), _as_d(*vals[1]))
-    raise ElabError("unknown function %r (line %d, column %d)" % (fn, line, col))
+        return lie_word(_as_d(vals[0]), _as_d(vals[1]))
+    word = reduce(tensor_mul, map(_as_d, vals), unit())
+    if fn in ("s", "w"):
+        return symmetrize(word) if fn == "s" else word
+    root = _as_a(rvals[0], fn + " root")
+    if any(t.kind not in (GEN, BRK) for t in root):
+        raise ElabError("%s root must elaborate to generators or brackets%s" % (fn, at))
+    if () in word.terms:
+        raise ElabError("%s needs at least one branch%s" % (fn, at))
+    # a word acting on a generator or bracket root is its planar graft
+    # (see bases.shat_elem_to_t), so sg(x, ...; r) is gr(s(x, ...); r)
+    if fn == "sg":
+        word = symmetrize(word)
+    return multilinear(lambda w, r: LinComb.of(graft(w, r)), word, root)
 
 
 def parse_algebra(text, alphabet):
     """Read text to an algebra element (tree-basis combination)."""
-    return _as_a(*_Reader(text, alphabet).read(), what="input")
+    return _as_a(_Reader(text, alphabet).read(), "input")
 
 
 def parse_tensor(text, alphabet):
     """Read text to a tensor element (word combination)."""
-    return _as_d(*_Reader(text, alphabet).read())
+    return _as_d(_Reader(text, alphabet).read())
 
 
 # -- printing ---------------------------------------------------------------------
@@ -296,15 +272,11 @@ def render_term(t):
     if t.kind == GRAFT:
         return "gr(%s; %s)" % (", ".join(render_term(b) for b in t.branches),
                                render_term(t.root))
-    if t.kind == OGRAFT:
-        w = t.word
-        if w.is_symmetric:
-            letters = _sorted_desc_s(w.tail)
-            return "sg(%s; %s)" % (", ".join(render_term(l) for l in letters),
-                                   render_term(t.root))
-        return "tri(%s, %s)" % (render_word(w, _sorted_desc_s), render_term(t.root))
-    if t.kind == SYMGRAFT:
-        letters = _sorted_desc_t(t.sym)
+    if t.kind == OGRAFT and not t.word.is_symmetric:
+        return "tri(%s, %s)" % (render_word(t.word, _sorted_desc_s), render_term(t.root))
+    if t.kind in (OGRAFT, SYMGRAFT):
+        letters = (_sorted_desc_s(t.word.tail) if t.kind == OGRAFT
+                   else _sorted_desc_t(t.sym))
         return "sg(%s; %s)" % (", ".join(render_term(l) for l in letters),
                                render_term(t.root))
     assert t.kind == TRIPLE

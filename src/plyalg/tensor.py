@@ -93,14 +93,11 @@ def _tri_words(wu, wv):
 
 
 def _derive(x, w):
-    """Single letter acting on a word as a derivation."""
-    if len(w) == 1:
-        return letters_to_words(graft_product(x, w[0]))
-    out = LinComb()
-    for i in range(len(w)):
-        for t, c in graft_product(x, w[i]).items():
-            out.add_in(LinComb.of(w[:i] + (t,) + w[i + 1:]), c)
-    return out
+    """Single letter acting on a word as a derivation. No two of its words
+    are equal: the one from letter i differs from the rest at i, where its
+    letter has more vertices than ``w[i]``."""
+    return LinComb({w[:i] + (t,) + w[i + 1:]: c
+                    for i, y in enumerate(w) for t, c in graft_product(x, y).items()})
 
 
 # -- the free product on the planar-tree basis --------------------------------
@@ -115,12 +112,11 @@ def graft_product(x, y):
         return LinComb.of(graft((x,), y))
     assert y.kind == GRAFT
     # x ▷ (w ▷ r) = (x·w) ▷ r + (x ▷ w) ▷ r
-    out = LinComb.of(graft((x,) + y.branches, y.root))
-    bs = y.branches
-    for i in range(len(bs)):
-        for t, c in graft_product(x, bs[i]).items():
-            out.add_in(LinComb.of(graft(bs[:i] + (t,) + bs[i + 1:], y.root)), c)
-    return out
+    # the grafts are distinct, as their branch words are
+    out = {graft((x,) + y.branches, y.root): 1}
+    for w, c in _derive(x, y.branches).items():
+        out[graft(w, y.root)] = c
+    return LinComb(out)
 
 
 def tree_mul(u, v):

@@ -373,3 +373,30 @@ def test_check_failure_exit_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "--suite", "census")
     assert code == 3 and json.loads(out)["pass"] is False
 
+
+@pytest.mark.parametrize("argv", [
+    ("--suite", "ply-axioms", "--max-vertices", "1"),
+    ("--suite", "ply-axioms", "--samples", "0"),
+    ("--suite", "ly-axioms", "--samples", "0"),
+    ("--suite", "lts-hall", "--samples", "0"),
+], ids=["ply-axioms-max-vertices-1", "ply-axioms-samples-0", "ly-axioms-samples-0",
+        "lts-hall-samples-0"])
+def test_check_nothing_checked_exit_3(capsys, argv):
+    # every rule has 0 instances, or no sample was drawn
+    code, out, _ = run(capsys, "check", *argv)
+    assert code == 3 and json.loads(out)["pass"] is False
+
+
+def test_census_checks_grade_6(capsys, monkeypatch):
+    # one grade-6 element of B missing: 105, not the published 106
+    import plyalg.suites as suites
+    enumerate_B = suites.enumerate_B
+
+    def drop_one(n, alphabet):
+        elements = enumerate_B(n, alphabet)
+        return elements[1:] if n == 6 else elements
+
+    monkeypatch.setattr(suites, "enumerate_B", drop_one)
+    code, out, _ = run(capsys, "check", "--suite", "census", "--max-vertices", "6")
+    rows = json.loads(out)["rows"]
+    assert code == 3 and [r["ok"] for r in rows] == [True] * 5 + [False]

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 from plyalg.bases import enumerate_Bhat
-from plyalg.tensor import (letters_to_words, lie_word, symmetrize, tensor_mul,
-                           tree_mul, triangle, triple_bracket, unit,
-                           word_act_trees)
+from plyalg.tensor import (_derive, graft_product, letters_to_words, lie_word,
+                           symmetrize, tensor_mul, tree_mul, triangle,
+                           triple_bracket, unit, word_act_trees)
 from plyalg.terms import Alphabet, LinComb, graft
 
 A = Alphabet.of_size(3)
@@ -114,3 +114,17 @@ def test_derivation_rule_sampled(A2):
         rhs = (tensor_mul(triangle(olc(x), olc(*w1)), olc(*w2))
                + tensor_mul(olc(*w1), triangle(olc(x), olc(*w2))))
         assert lhs == rhs
+
+
+def test_derive_sums_distinct_words(A2):
+    # the one-pass derivation builds its words straight into a dict, so no
+    # two may coincide; repeated letters included, it equals the sum built
+    # term by term
+    pool = [t for n in range(1, 3) for t in enumerate_Bhat(n, A2)]
+    for x in pool:
+        for w in [(y,) * k for y in pool for k in (1, 2, 3)] + [tuple(pool[:3])]:
+            want = LinComb()
+            for i, y in enumerate(w):
+                for t, c in graft_product(x, y).items():
+                    want.add_in(LinComb.of(w[:i] + (t,) + w[i + 1:]), c)
+            assert _derive(x, w) == want
