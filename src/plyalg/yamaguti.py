@@ -1,15 +1,17 @@
 """The Lie-Yamaguti structure carried by the free post-Lie-Yamaguti algebra:
 binary operation [[x,y]] and ternary operation {x,y,z} = [[x,y]] ▷ z − [x,y,z],
-both computed through normalization, plus the axiom checker."""
+both computed through normalization, the axiom checkers, and the ranked
+tuples of basis elements that they and the relation suites are checked on."""
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 
 from .bases import any_to_bhat
-from .normal import DEFAULT_FUEL, enumerate_B, lat_project, normalize
+from .normal import (DEFAULT_FUEL, enumerate_B, enumerate_B_lat, lat_project,
+                     normalize)
 from .tensor import tree_brk, tree_mul, triple_bracket
-from .terms import Alphabet, LinComb, has_bracket
+from .terms import LinComb
 
 
 def ly_binary(x, y, fuel=DEFAULT_FUEL):
@@ -79,56 +81,63 @@ AXIOMS = (("LY1", _ly1, 1), ("LY2", _ly2, 2), ("LY3", _ly3, 3),
           ("LY4", _ly4, 4), ("LY5", _ly5, 4), ("LY6", _ly6, 5))
 
 
-def basis_pool(max_vertices, alphabet, arity):
-    """The basis elements that fit in one slot of an ``arity``-tuple of at
-    most ``max_vertices`` vertices, by grade."""
-    return [t for n in range(1, max_vertices - arity + 2)
-            for t in enumerate_B(n, alphabet)]
+def ranked_tuples(grade, alphabet, arity, max_vertices):
+    """The ``arity``-tuples of ``grade(n, alphabet)`` elements with at most
+    ``max_vertices`` vertices in all: their count, and ``at(r)``, the tuple
+    of rank ``r`` in lexicographic order (elements grade by grade, each grade
+    in enumeration order), unranked from the counts by grade (Nijenhuis and
+    Wilf, *Combinatorial Algorithms*, 1978)."""
+    grades = {n: grade(n, alphabet) for n in range(1, max_vertices - arity + 2)}
+    fit = {(0, b): 1 for b in range(max_vertices + 1)}  # a-tuples in b vertices
+    for a in range(1, arity + 1):
+        for b in range(max_vertices + 1):
+            fit[a, b] = sum(len(g) * fit.get((a - 1, b - n), 0)
+                            for n, g in grades.items())
+
+    def at(r):
+        out, b = [], max_vertices
+        for a in range(arity, 0, -1):
+            for n, g in grades.items():
+                rest = fit.get((a - 1, b - n), 0)
+                if r < len(g) * rest:
+                    i, r = divmod(r, rest)
+                    out.append(g[i])
+                    b -= n
+                    break
+                r -= len(g) * rest
+        return tuple(out)
+
+    return fit[arity, max_vertices], at
 
 
-def draw_tuples(pool, arity, max_vertices, samples, rng):
-    """``samples`` tuples drawn from the pool, each drawn again until its
-    vertex count is at most ``max_vertices``."""
-    out = []
-    for _ in range(samples):
-        while True:
-            pick = tuple(rng.choice(pool) for _ in range(arity))
-            if sum(t.vc for t in pick) <= max_vertices:
-                out.append(pick)
-                break
-    return out
-
-
-def check_ly_axioms(max_vertices=6, samples=20, seed=0, alphabet=None):
+def check_ly_axioms(max_vertices, samples, seed, alphabet):
     """Evaluate every Lie-Yamaguti axiom on seeded basis-element tuples.
 
     Returns one LYReport per instantiation; residuals are exact.
     """
-    if alphabet is None:
-        alphabet = Alphabet.of_size(1)
     rng = random.Random(seed)
     reports = []
     for name, fn, arity in AXIOMS:
         if arity > max_vertices:
             continue
-        pool = basis_pool(max_vertices, alphabet, arity)
-        for args in draw_tuples(pool, arity, max_vertices, samples, rng):
-            residual = fn(*args)
-            reports.append(LYReport(name, args, residual))
+        count, at = ranked_tuples(enumerate_B, alphabet, arity, max_vertices)
+        for _ in range(samples):
+            args = at(rng.randrange(count))
+            reports.append(LYReport(name, args, fn(*args)))
     return reports
 
 
-def check_lat_degeneration(max_vertices=5, samples=20, seed=0, alphabet=None):
+def check_lat_degeneration(max_vertices, samples, seed, alphabet):
     """In the bracket -> 0 quotient the binary operation vanishes and the
     ternary operation is minus the triple-bracket. Returns LYReports, none
     when a triple does not fit in ``max_vertices``."""
     if max_vertices < 3:
         return []
-    if alphabet is None:
-        alphabet = Alphabet.of_size(1)
-    pool = [t for t in basis_pool(max_vertices, alphabet, 3) if not has_bracket(t)]
+    count, at = ranked_tuples(enumerate_B_lat, alphabet, 3, max_vertices)
+    rng = random.Random(seed)
     reports = []
-    for x, y, z in draw_tuples(pool, 3, max_vertices, samples, random.Random(seed)):
+    for _ in range(samples):
+        x, y, z = at(rng.randrange(count))
         reports.append(LYReport("LAT-binary", (x, y), lat_project(ly_binary(x, y))))
         res = lat_project(ly_triple(x, y, z)) + lat_project(triple_bracket_nf(x, y, z))
         reports.append(LYReport("LAT-triple", (x, y, z), res))

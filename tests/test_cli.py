@@ -366,6 +366,20 @@ def test_check_relation_suites(capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("max_vertices,rules", [
+    ("2", ["PLY1"]),
+    ("4", ["PLY1", "PLY2", "PLY3", "PLY4", "PLY5"]),
+])
+def test_check_ply_axioms_lists_fitting_relations(capsys, max_vertices, rules):
+    # a relation whose arguments cannot fit is left out, not passed at 0
+    # instances; each one listed has an instance
+    code, out, _ = run(capsys, "check", "--suite", "ply-axioms",
+                       "--max-vertices", max_vertices, "--samples", "25")
+    results = json.loads(out)["results"]
+    assert code == 0 and [r["rule"] for r in results] == rules
+    assert all(r["instances"] for r in results)
+
+
 def test_check_failure_exit_3(capsys, monkeypatch):
     import plyalg.cli as cli
     monkeypatch.setitem(cli.SUITES, "census",

@@ -4,7 +4,8 @@ for every basis at two grades over one generator and one over two, of
 `plyalg osbb` on two words with 5-letter components, of `plyalg phi-inv` on
 brackets, symmetric grafts and grade-6 trees over two generators (the change
 into triple coordinates and back), of the Hall normal forms of every
-ternary bracketing of a fixed size, and of the normalizer's step sequence
+ternary bracketing of a fixed size, of the whole tuple grids the relation
+suites check, and of the normalizer's step sequence
 on the residuals of one suite and, with every step's bindings and image, on
 two trees whose redexes lie up to three levels deep, and of one PLY5 image. A change that alters normal forms, report
 text or the steps taken on purpose updates these digests and says why."""
@@ -142,6 +143,20 @@ def test_trace_step_digest():
                          for s in trace.steps)
     assert len(lines) == 88
     assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == "21467b1b51d34d29"
+
+
+def test_sample_basis_tuples_digest():
+    # every tuple of the whole grid, in order, where it has at most
+    # ``samples`` tuples: the tuples the grid-path suites check
+    lines = []
+    for arity, max_vertices, gens in ((2, 6, 1), (3, 6, 1), (4, 6, 1), (5, 6, 1),
+                                      (2, 5, 2), (3, 5, 2)):
+        tuples = sample_basis_tuples(arity, max_vertices, 10**6, 0,
+                                     Alphabet.of_size(gens))
+        lines.append("%d %d %d: %d\n" % (arity, max_vertices, gens, len(tuples)))
+        lines.extend(" ".join(map(render_term, args)) + "\n" for args in tuples)
+    assert len(lines) == 1891
+    assert hashlib.sha256("".join(lines).encode()).hexdigest()[:16] == "13e327fbefed2ecc"
 
 
 def _render_binding(v):

@@ -1,10 +1,16 @@
-"""The derived Lie-Yamaguti structure and its axioms."""
+"""The derived Lie-Yamaguti structure, its axioms, and the tuples they and
+the relation suites are checked on."""
+import itertools
 from fractions import Fraction
 
-from plyalg.normal import lat_project
+import pytest
+
+from plyalg.normal import enumerate_B, enumerate_B_lat, lat_project
+from plyalg.suites import sample_basis_tuples
 from plyalg.terms import Alphabet, LinComb, graft
 from plyalg.yamaguti import (check_lat_degeneration, check_ly_axioms,
-                             ly_binary, ly_triple, triple_bracket_nf)
+                             ly_binary, ly_triple, ranked_tuples,
+                             triple_bracket_nf)
 
 A1 = Alphabet.of_size(1)
 a = A1.gens[0]
@@ -63,3 +69,35 @@ def test_degenerate_triple_is_negative_triple_bracket():
         lhs = lat_project(ly_triple(x, y, z))
         rhs = -lat_project(triple_bracket_nf(x, y, z))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("grade,gens,arity,max_vertices", [
+    (enumerate_B, 1, 1, 4), (enumerate_B, 1, 3, 6), (enumerate_B, 2, 2, 5),
+    (enumerate_B, 2, 3, 5), (enumerate_B_lat, 1, 3, 6), (enumerate_B_lat, 2, 3, 5),
+    (enumerate_B, 1, 3, 2),
+])
+def test_ranked_tuples_is_the_filtered_grid(grade, gens, arity, max_vertices):
+    # rank r is the r-th fitting tuple of the product of the elements that
+    # fit in one slot, listed grade by grade
+    alphabet = Alphabet.of_size(gens)
+    pool = [t for n in range(1, max_vertices - arity + 2) for t in grade(n, alphabet)]
+    grid = [p for p in itertools.product(pool, repeat=arity)
+            if sum(t.vc for t in p) <= max_vertices]
+    count, at = ranked_tuples(grade, alphabet, arity, max_vertices)
+    assert count == len(grid)
+    assert [at(r) for r in range(count)] == grid
+
+
+def test_sample_basis_tuples_draws():
+    # past the grid: ``samples`` seeded draws, each of basis elements within
+    # the budget; 45,592 5-tuples over two generators fit in 8 vertices, one
+    # in 7.7 million of the 5-tuples of elements with at most 4 vertices
+    A2 = Alphabet.of_size(2)
+    basis = {n: set(enumerate_B(n, A2)) for n in range(1, 5)}
+    drawn = sample_basis_tuples(5, 8, 500, 0, A2)
+    assert len(drawn) == 500
+    for args in drawn:
+        assert len(args) == 5 and sum(t.vc for t in args) <= 8
+        assert all(t in basis.get(t.vc, ()) for t in args)
+    assert drawn == sample_basis_tuples(5, 8, 500, 0, A2)
+    assert drawn != sample_basis_tuples(5, 8, 500, 1, A2)
