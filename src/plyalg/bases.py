@@ -18,8 +18,8 @@ from .orders import cmp_ints, cmp_shat, shat_key, sort_by
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, block,
                     brk, canon_key, graft, memo, multilinear, ograft, osbb_word,
                     subterms, symgraft, triple)
-from .tensor import (symmetrize, tree_brk, triple_bracket, word_act_trees,
-                     word_lincomb)
+from .tensor import (graft_words, symmetrize, tree_brk, triple_bracket,
+                     word_act_trees, word_lincomb)
 
 
 class BasisError(AssertionError):
@@ -61,12 +61,9 @@ def from_shat_term(s):
     if s.kind == BRK:
         return tree_brk(from_shat_term(s.x), from_shat_term(s.y))
     if s.kind == OGRAFT:
-        root = from_shat_term(s.root)
-        words = osbb.expand(s.word)
-        branches = {w: word_lincomb([from_shat_term(l) for l in w]) for w in words}
-        return multilinear(
-            lambda w, r: LinComb({graft(bw, r): c for bw, c in branches[w].items()}),
-            words, root)
+        words = osbb.expand(s.word).map_terms(
+            lambda w: word_lincomb([from_shat_term(l) for l in w]))
+        return graft_words(words, from_shat_term(s.root))
     raise BasisError("from_shat expects a block-basis term, got %r" % s)
 
 
@@ -192,11 +189,11 @@ def t_value(t):
         return tree_brk(t_value(t.x), t_value(t.y))
     if t.kind not in (SYMGRAFT, TRIPLE):
         raise BasisError("t_value expects a triple-basis term, got %r" % t)
-    v = (t_value(t.root) if t.kind == SYMGRAFT
-         else triple_bracket(t_value(t.y), t_value(t.z), t_value(t.w)))
-    if t.sym:
-        v = word_act_trees(symmetrize(word_lincomb([t_value(b) for b in t.sym])), v)
-    return v
+    word = symmetrize(word_lincomb([t_value(b) for b in t.sym]))
+    if t.kind == SYMGRAFT:
+        return graft_words(word, t_value(t.root))
+    v = triple_bracket(t_value(t.y), t_value(t.z), t_value(t.w))
+    return word_act_trees(word, v) if t.sym else v
 
 
 def t_value_lin(x):
@@ -217,10 +214,8 @@ def shat_elem_to_t(s):
       bracket is bilinear in both bases;
     - ``ograft(s(S), r)`` maps to the multilinear ``symgraft`` of the
       images of S's letters on the image of r, which is all generators and
-      brackets. Grafting a word onto such a root is the word's action on it:
-      ``graft_product`` and ``_tri_words`` both follow G(x·w, r) =
-      x ▷ G(w, r) − G(x ▷ w, r) from G(x, r) = x ▷ r, and ``symmetrize`` is
-      multilinear.
+      brackets. Grafting a word onto such a root is the word's action on it
+      (``tensor.graft_words``), and ``symmetrize`` is multilinear.
 
     A graft of a word with bracket blocks keeps the triangular solve: a
     triple's slot conditions do not survive substitution."""

@@ -25,9 +25,10 @@ from fractions import Fraction
 from functools import cmp_to_key, reduce
 
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, OsbbWord,
-                    Term, canon_key, graft, multilinear)
-from .tensor import (letters_to_words, lie_word, symmetrize, tensor_mul, tree_brk,
-                     triangle, triple_bracket, unit, words_to_letters)
+                    Term, canon_key)
+from .tensor import (graft_words, letters_to_words, lie_word, symmetrize,
+                     tensor_mul, tree_brk, triangle, triple_bracket, unit,
+                     words_to_letters)
 
 # Most calls that may be open at once. The reader takes 3 frames per open
 # call and the engine up to 5 per level of the term it converts, against the
@@ -229,11 +230,8 @@ def _call(fn, vals, rvals, line, col):
         raise ElabError("%s root must elaborate to generators or brackets%s" % (fn, at))
     if () in word.terms:
         raise ElabError("%s needs at least one branch%s" % (fn, at))
-    # a word acting on a generator or bracket root is its planar graft
-    # (see bases.shat_elem_to_t), so sg(x, ...; r) is gr(s(x, ...); r)
-    if fn == "sg":
-        word = symmetrize(word)
-    return multilinear(lambda w, r: LinComb.of(graft(w, r)), word, root)
+    # sg(x, ...; r) is gr(s(x, ...); r)
+    return graft_words(symmetrize(word) if fn == "sg" else word, root)
 
 
 def parse_algebra(text, alphabet):

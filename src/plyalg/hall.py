@@ -3,10 +3,11 @@ and the ternary case (free Lie triple system bases), with the rewriting
 algorithm that expresses any ternary bracketing of Hall elements as a
 combination of Hall elements.
 
-Nodes are hash-consed: structurally equal nodes are the same Python object,
-so equality is identity. Letters are arbitrary hashable values ordered by a
-supplied comparator. The Hall order is one tuple sort key, cached per node
-and comparator by ``terms.memo``: foliage length, foliage word, then
+Nodes are hash-consed by ``terms._intern``, one table per class:
+structurally equal nodes are the same Python object, so equality is
+identity. Letters are arbitrary hashable values ordered by a supplied
+comparator. The Hall order is one tuple sort key, cached per node and
+comparator by ``terms.memo``: foliage length, foliage word, then
 structure, so that foliage ties between distinct nodes are broken and every
 branch the rewriting takes is strict. The LTS-Hall predicate is cached the
 same way.
@@ -16,7 +17,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 
 from .orders import cmp_ints
-from .terms import LinComb, memo
+from .terms import LinComb, _intern, memo
 
 
 class Leaf:
@@ -40,29 +41,19 @@ class Node3:
         return "[%r,%r,%r]" % (self.x, self.y, self.z)
 
 
-_NODES = {}
-
-
-def _intern(cls, *parts):
-    key = (cls,) + parts
-    t = _NODES.get(key)
-    if t is None:
-        t = _NODES[key] = cls()
-        for slot, part in zip(cls.__slots__, parts):
-            setattr(t, slot, part)
-    return t
+_LEAF, _NODE2, _NODE3 = {}, {}, {}
 
 
 def leaf(letter):
-    return _intern(Leaf, letter)
+    return _intern(_LEAF, Leaf, letter)
 
 
 def node2(x, y):
-    return _intern(Node2, x, y)
+    return _intern(_NODE2, Node2, x, y)
 
 
 def node3(x, y, z):
-    return _intern(Node3, x, y, z)
+    return _intern(_NODE3, Node3, x, y, z)
 
 
 def foliage(t):

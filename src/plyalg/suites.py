@@ -19,7 +19,7 @@ from .osbb import decompose, expand_lincomb, words_for_multiset
 from .tensor import (letters_to_words, lie_word, tensor_mul, tree_brk,
                      tree_mul, triple_bracket, word_act_trees)
 from .terms import Alphabet, LinComb
-from .yamaguti import check_lat_degeneration, check_ly_axioms, ranked_tuples
+from .yamaguti import check_lat_degeneration, check_ly_axioms, sample_basis_tuples
 
 
 def relation_residual(rule, args):
@@ -71,17 +71,6 @@ def relation_residual(rule, args):
 
 
 RELATION_ARITY = {"PLY1": 2, "PLY2": 3, "PLY3": 4, "PLY4": 3, "PLY5": 4, "PLY6": 5}
-
-
-def sample_basis_tuples(arity, max_vertices, samples, seed, alphabet):
-    """Tuples of basis elements with at most ``max_vertices`` vertices in
-    all: the whole grid if it has at most ``samples`` tuples, else
-    ``samples`` seeded uniform draws."""
-    count, at = ranked_tuples(enumerate_B, alphabet, arity, max_vertices)
-    if count <= samples:
-        return [at(r) for r in range(count)]
-    rng = random.Random(seed)
-    return [at(rng.randrange(count)) for _ in range(samples)]
 
 
 def suite_ply_axioms(max_vertices=6, samples=500, seed=0, gens=1):

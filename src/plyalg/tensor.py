@@ -143,3 +143,12 @@ def triple_bracket(x, y, z):
 def word_act_trees(w, v):
     """A word combination of tree-basis letters acting on a tree combination."""
     return words_to_letters(triangle(w, letters_to_words(v)))
+
+
+def graft_words(words, roots):
+    """A combination of nonempty words grafted onto a combination of
+    generator and bracket roots. On such a root a word's action is its
+    planar graft: ``graft_product`` and ``_tri_words`` both follow
+    G(x·w, r) = x ▷ G(w, r) − G(x ▷ w, r) from G(x, r) = x ▷ r, so this is
+    ``word_act_trees(words, roots)`` without the recursion."""
+    return multilinear(lambda w, r: LinComb.of(graft(w, r)), words, roots)

@@ -1,8 +1,9 @@
 """Interned term nodes and exact linear combinations.
 
-Every node is hash-consed: all eight constructors go through one interning
-function, ``_intern``, so structurally equal terms, blocks and words are the
-same Python object. Equality is therefore identity, and nodes hash by
+Every node is hash-consed: all eight constructors, and the three magma
+nodes of ``hall``, go through one interning function, ``_intern``, so
+structurally equal terms, blocks, words and magma nodes are the same Python
+object. Equality is therefore identity, and nodes hash by
 identity (the object defaults), which keeps dict lookups and per-term memo
 tables cheap. ``_intern`` fills the slots from the lookup key and derives
 the vertex count ``vc`` and bracket count ``bc`` (and a word's ``length``)
@@ -140,13 +141,14 @@ def _intern(table, cls, *key):
     """The one node of ``cls`` whose leading slots hold ``key``, built on
     first use. A term's or word's counts are summed over its children (the
     letters of a word), plus one vertex for a generator and one bracket for
-    a bracket."""
+    a bracket; a class without a ``vc`` slot (a block, a magma node) keeps
+    no counts."""
     node = table.get(key)
     if node is None:
         node = table[key] = cls()
         for slot, part in zip(cls.__slots__, key):
             setattr(node, slot, part)
-        if cls is Block:
+        if not hasattr(cls, "vc"):
             return node
         if cls is OsbbWord:
             kids = node.letters()

@@ -1,7 +1,7 @@
 """The Lie-Yamaguti structure carried by the free post-Lie-Yamaguti algebra:
 binary operation [[x,y]] and ternary operation {x,y,z} = [[x,y]] ▷ z − [x,y,z],
-both computed through normalization, the axiom checkers, and the ranked
-tuples of basis elements that they and the relation suites are checked on."""
+both computed through normalization, the axiom checkers, and the one
+sampler of the basis-element tuples they and the relation suites check."""
 from __future__ import annotations
 
 import random
@@ -110,34 +110,33 @@ def ranked_tuples(grade, alphabet, arity, max_vertices):
     return fit[arity, max_vertices], at
 
 
-def check_ly_axioms(max_vertices, samples, seed, alphabet):
-    """Evaluate every Lie-Yamaguti axiom on seeded basis-element tuples.
+def sample_basis_tuples(arity, max_vertices, samples, seed, alphabet,
+                        grade=enumerate_B):
+    """Tuples of ``grade(n, alphabet)`` elements with at most
+    ``max_vertices`` vertices in all: the whole grid if it has at most
+    ``samples`` tuples, else ``samples`` distinct tuples drawn by seeded
+    rank. A tuple that cannot fit gives none."""
+    count, at = ranked_tuples(grade, alphabet, arity, max_vertices)
+    ranks = (range(count) if count <= samples
+             else random.Random(seed).sample(range(count), samples))
+    return [at(r) for r in ranks]
 
-    Returns one LYReport per instantiation; residuals are exact.
-    """
-    rng = random.Random(seed)
-    reports = []
-    for name, fn, arity in AXIOMS:
-        if arity > max_vertices:
-            continue
-        count, at = ranked_tuples(enumerate_B, alphabet, arity, max_vertices)
-        for _ in range(samples):
-            args = at(rng.randrange(count))
-            reports.append(LYReport(name, args, fn(*args)))
-    return reports
+
+def check_ly_axioms(max_vertices, samples, seed, alphabet):
+    """Evaluate every Lie-Yamaguti axiom on the basis-element tuples that
+    ``sample_basis_tuples`` gives for its arity. Returns one LYReport per
+    instantiation; residuals are exact."""
+    return [LYReport(name, args, fn(*args)) for name, fn, arity in AXIOMS
+            for args in sample_basis_tuples(arity, max_vertices, samples, seed, alphabet)]
 
 
 def check_lat_degeneration(max_vertices, samples, seed, alphabet):
     """In the bracket -> 0 quotient the binary operation vanishes and the
-    ternary operation is minus the triple-bracket. Returns LYReports, none
-    when a triple does not fit in ``max_vertices``."""
-    if max_vertices < 3:
-        return []
-    count, at = ranked_tuples(enumerate_B_lat, alphabet, 3, max_vertices)
-    rng = random.Random(seed)
+    ternary operation is minus the triple-bracket. Returns two LYReports per
+    bracket-free triple that ``sample_basis_tuples`` gives."""
     reports = []
-    for _ in range(samples):
-        x, y, z = at(rng.randrange(count))
+    for x, y, z in sample_basis_tuples(3, max_vertices, samples, seed, alphabet,
+                                       enumerate_B_lat):
         reports.append(LYReport("LAT-binary", (x, y), lat_project(ly_binary(x, y))))
         res = lat_project(ly_triple(x, y, z)) + lat_project(triple_bracket_nf(x, y, z))
         reports.append(LYReport("LAT-triple", (x, y, z), res))

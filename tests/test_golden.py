@@ -28,7 +28,7 @@ GOLDEN = {
     "ply-axioms-6": (("--suite", "ply-axioms", "--max-vertices", "6"), "b7cc45d682e06efc"),
     "ply-axioms-5-gens-2": (("--suite", "ply-axioms", "--max-vertices", "5", "--gens", "2"),
                             "9af92e46da0808a4"),
-    "ly-axioms": (("--suite", "ly-axioms"), "a42e3d138dd3ca76"),
+    "ly-axioms": (("--suite", "ly-axioms"), "dd00562a185cd41a"),
     "lts-hall-7": (("--suite", "lts-hall", "--max-vertices", "7"), "f64e2d1004ba41f1"),
     "osbb-roundtrip": (("--suite", "osbb-roundtrip"), "0a2dc84e41de0a78"),
     "census-6": (("--suite", "census", "--max-vertices", "6"), "047643b48b99147e"),

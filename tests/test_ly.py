@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from plyalg.normal import enumerate_B, enumerate_B_lat, lat_project
-from plyalg.suites import sample_basis_tuples
 from plyalg.terms import Alphabet, LinComb, graft
 from plyalg.yamaguti import (check_lat_degeneration, check_ly_axioms,
                              ly_binary, ly_triple, ranked_tuples,
-                             triple_bracket_nf)
+                             sample_basis_tuples, triple_bracket_nf)
 
 A1 = Alphabet.of_size(1)
 a = A1.gens[0]
@@ -101,3 +100,27 @@ def test_sample_basis_tuples_draws():
         assert all(t in basis.get(t.vc, ()) for t in args)
     assert drawn == sample_basis_tuples(5, 8, 500, 0, A2)
     assert drawn != sample_basis_tuples(5, 8, 500, 1, A2)
+
+
+def test_sample_basis_tuples_draws_distinct():
+    # 245 3-tuples fit in 7 vertices over one generator: 200 draws are 200
+    # distinct tuples, where draws with replacement gave 129
+    drawn = sample_basis_tuples(3, 7, 200, 0, A1)
+    assert len(drawn) == len(set(drawn)) == 200
+
+
+def test_ly_and_lat_take_the_whole_grid():
+    # one rule for every suite: the whole grid when it fits (LY6's 6 tuples
+    # within 6 vertices, the 13 bracket-free triples within 5), else
+    # ``samples`` distinct draws
+    by_axiom = {}
+    for r in check_ly_axioms(6, 20, 0, A1):
+        by_axiom.setdefault(r.axiom, []).append(r.bindings)
+    assert {k: len(set(v)) for k, v in by_axiom.items()} == {
+        "LY1": 20, "LY2": 20, "LY3": 20, "LY4": 20, "LY5": 20, "LY6": 6}
+    count, at = ranked_tuples(enumerate_B, A1, 5, 6)
+    assert by_axiom["LY6"] == [at(r) for r in range(count)]
+    lat = [r.bindings for r in check_lat_degeneration(5, 20, 0, A1)
+           if r.axiom == "LAT-triple"]
+    count, at = ranked_tuples(enumerate_B_lat, A1, 3, 5)
+    assert count == 13 and lat == [at(r) for r in range(count)]

@@ -511,8 +511,8 @@ def test_graded_dim():
 @pytest.mark.xfail(strict=True, reason=(
     "with two generators the six-vertex fixed points of the published "
     "rewriting are linearly dependent modulo the ideal: this relation "
-    "instance rewrites soundly (every step audited) to a nonzero "
-    "basis-supported combination; see the reviewer notes"))
+    "instance rewrites, with a trace that replays, to a nonzero "
+    "basis-supported combination; see ROADMAP item 4"))
 def test_relation_annihilation_two_generators_grade_six():
     from plyalg.bases import enumerate_Bhat
     pool = {repr(t): t for n in range(1, 3) for t in enumerate_Bhat(n, A2)}
@@ -525,7 +525,7 @@ def test_relation_annihilation_two_generators_grade_six():
 
 @pytest.mark.xfail(strict=True, reason=(
     "with one generator at eight vertices this PLY6 relation instance "
-    "rewrites soundly (every step audited) to a 70-term nonzero "
+    "rewrites, with a trace that replays, to a 70-term nonzero "
     "basis-supported combination: the fixed points are not canonical there"))
 def test_relation_annihilation_one_generator_grade_eight():
     pool = {repr(t): t for n in range(1, 4) for t in enumerate_B(n, A1)}

@@ -4,10 +4,10 @@ import random
 from fractions import Fraction
 
 from plyalg.bases import enumerate_Bhat
-from plyalg.tensor import (_derive, graft_product, letters_to_words, lie_word,
-                           symmetrize, tensor_mul, tree_mul, triangle,
+from plyalg.tensor import (_derive, graft_product, graft_words, letters_to_words,
+                           lie_word, symmetrize, tensor_mul, tree_mul, triangle,
                            triple_bracket, unit, word_act_trees)
-from plyalg.terms import Alphabet, LinComb, graft
+from plyalg.terms import BRK, GEN, Alphabet, LinComb, graft
 
 A = Alphabet.of_size(3)
 a, b, c = A.gens
@@ -128,3 +128,22 @@ def test_derive_sums_distinct_words(A2):
                 for t, c in graft_product(x, y).items():
                     want.add_in(LinComb.of(w[:i] + (t,) + w[i + 1:]), c)
             assert _derive(x, w) == want
+
+
+def test_graft_words_is_the_action_on_roots(A2):
+    # on generator and bracket roots a word acts by its planar graft:
+    # random word combinations, half of them symmetrized, on sums of roots
+    rng = random.Random(5)
+    pool = [t for n in range(1, 3) for t in enumerate_Bhat(n, A2)]
+    roots = [t for n in range(1, 4) for t in enumerate_Bhat(n, A2)
+             if t.kind in (GEN, BRK)]
+    for _ in range(40):
+        words = LinComb.from_pairs(
+            (tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))),
+             rng.randint(1, 3)) for _ in range(3))
+        if rng.random() < 0.5:
+            words = symmetrize(words)
+        on = LinComb.from_pairs((rng.choice(roots), rng.randint(-2, 2) or 1)
+                                for _ in range(2))
+        grafted = graft_words(words, on)
+        assert grafted and grafted == word_act_trees(words, on)
