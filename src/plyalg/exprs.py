@@ -179,7 +179,7 @@ class _Reader:
 def _is_d(val):
     """Whether a value is a tensor element: its terms are words (tuples). A
     zero reads the same either way."""
-    return isinstance(next(iter(val.terms), None), tuple)
+    return isinstance(next(iter(val), None), tuple)
 
 
 def _as_d(val):
@@ -228,7 +228,7 @@ def _call(fn, vals, rvals, line, col):
     root = _as_a(rvals[0], fn + " root")
     if any(t.kind not in (GEN, BRK) for t in root):
         raise ElabError("%s root must elaborate to generators or brackets%s" % (fn, at))
-    if () in word.terms:
+    if () in word:
         raise ElabError("%s needs at least one branch%s" % (fn, at))
     # sg(x, ...; r) is gr(s(x, ...); r)
     return graft_words(symmetrize(word) if fn == "sg" else word, root)

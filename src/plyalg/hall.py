@@ -156,7 +156,7 @@ def _rewrite(t, cmpl):
 
 def lts_hall_rewrite(x, cmpl):
     """Rewrite a combination of ternary bracketings into Hall elements."""
-    work = LinComb(dict(x.terms)) if isinstance(x, LinComb) else LinComb.of(x)
+    work = LinComb(x) if isinstance(x, LinComb) else LinComb.of(x)
     fuel = 10 ** 6  # the most steps before giving up
     while True:
         for t in work:
@@ -167,4 +167,4 @@ def lts_hall_rewrite(x, cmpl):
         if fuel <= 0:
             raise RewriteStuck("fuel exhausted before reaching Hall form")
         fuel -= 1
-        work.add_in(_rewrite(t, cmpl), work.terms.pop(t))
+        work.add_in(_rewrite(t, cmpl), work.pop(t))

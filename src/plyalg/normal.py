@@ -137,7 +137,7 @@ def graded_dim(n, alphabet):
 
 def lat_project(x):
     """Kill every term containing a bracket node (the bracket -> 0 quotient)."""
-    return LinComb({t: c for t, c in x.items() if not has_bracket(t)})
+    return LinComb((t, c) for t, c in x.items() if not has_bracket(t))
 
 
 # -- exact helpers ---------------------------------------------------------------
@@ -466,14 +466,13 @@ def normalize(x, fuel=DEFAULT_FUEL):
     state and trace if the step budget runs out.
     """
     start = _start(x)
-    work = LinComb(dict(start.terms))
-    terms = work.terms
+    work = LinComb(start)
     steps = []
-    heap = [(_Desc(t), t) for t in terms if not is_B(t)]
+    heap = [(_Desc(t), t) for t in work if not is_B(t)]
     heapify(heap)
     while heap:
         t = heap[0][1]
-        if t not in terms:
+        if t not in work:
             heappop(heap)
             continue
         if fuel <= 0:
@@ -482,9 +481,9 @@ def normalize(x, fuel=DEFAULT_FUEL):
         heappop(heap)
         step = _step(t)
         steps.append(step)
-        work.add_in(step.after, terms.pop(t))
+        work.add_in(step.after, work.pop(t))
         for u in step.after:
-            if u in terms and not is_B(u):
+            if u in work and not is_B(u):
                 heappush(heap, (_Desc(u), u))
     return work, RewriteTrace(start, work, tuple(steps))
 
@@ -505,7 +504,7 @@ def check_trace(input_lc, output_lc, trace, explain=False):
     if trace.input != cur:
         return fail("trace input does not match")
     for i, step in enumerate(trace.steps):
-        c = cur.terms.pop(step.term, None)
+        c = cur.pop(step.term, None)
         if c is None:
             return fail("step %d: rewritten term not present" % i)
         try:

@@ -26,16 +26,16 @@ def unit():
 
 def letters_to_words(x):
     """Embed a combination over letters as length-1 tensor words."""
-    return LinComb({(t,): c for t, c in x.items()})
+    return LinComb(((t,), c) for t, c in x.items())
 
 
 def words_to_letters(x):
     """Inverse embedding; every word must have length exactly one."""
-    out = {}
+    out = LinComb()
     for w, c in x.items():
         assert len(w) == 1, "not a letter-graded element: %r" % (w,)
         out[w[0]] = c
-    return LinComb(out)
+    return out
 
 
 def tensor_mul(u, v):
@@ -96,8 +96,8 @@ def _derive(x, w):
     """Single letter acting on a word as a derivation. No two of its words
     are equal: the one from letter i differs from the rest at i, where its
     letter has more vertices than ``w[i]``."""
-    return LinComb({w[:i] + (t,) + w[i + 1:]: c
-                    for i, y in enumerate(w) for t, c in graft_product(x, y).items()})
+    return LinComb((w[:i] + (t,) + w[i + 1:], c)
+                   for i, y in enumerate(w) for t, c in graft_product(x, y).items())
 
 
 # -- the free product on the planar-tree basis --------------------------------
@@ -113,10 +113,10 @@ def graft_product(x, y):
     assert y.kind == GRAFT
     # x ▷ (w ▷ r) = (x·w) ▷ r + (x ▷ w) ▷ r
     # the grafts are distinct, as their branch words are
-    out = {graft((x,) + y.branches, y.root): 1}
+    out = LinComb.of(graft((x,) + y.branches, y.root))
     for w, c in _derive(x, y.branches).items():
         out[graft(w, y.root)] = c
-    return LinComb(out)
+    return out
 
 
 def tree_mul(u, v):

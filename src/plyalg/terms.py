@@ -24,9 +24,10 @@ Graft-like roots are restricted to Gen or Brk. Multisets are stored sorted
 by a fixed structural key (``canon_key``); presentation orders live in the
 orders module and are applied at comparison/printing time.
 
-Coefficients are exact: an ``int`` where the value is integral, else a
-``Fraction`` (``exact``; floats are rejected). ``int`` arithmetic is much
-cheaper, and ``int`` and ``Fraction`` compare, hash and render alike.
+A combination, ``LinComb``, is a dict from each term to its exact nonzero
+coefficient: an ``int`` where the value is integral, else a ``Fraction``
+(``exact``; floats are rejected). ``int`` arithmetic is much cheaper, and
+``int`` and ``Fraction`` compare, hash and render alike.
 """
 from __future__ import annotations
 
@@ -287,7 +288,6 @@ class Alphabet:
 
 
 ONE = 1
-ZERO = 0
 
 
 def exact(c):
@@ -302,21 +302,13 @@ def exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-class LinComb:
-    """Finite formal sum of basis elements with exact rational coefficients.
-
-    Stored as a dict term -> nonzero coefficient, an ``int`` where the value
-    is integral and a ``Fraction`` with denominator > 1 otherwise. Works for
-    any hashable basis kind (terms, tensor words, magma nodes).
-    """
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+class LinComb(dict):
+    """Finite formal sum of basis elements (terms, tensor words, magma nodes)
+    with exact rational coefficients: a dict from each term to its nonzero
+    ``int`` or ``Fraction`` coefficient. ``LinComb(x)`` copies ``x``. To a
+    dict it adds only exact coefficients (``of``, ``from_pairs``,
+    ``add_in``), arithmetic, ``map_terms``, a hash and rendering."""
+    __slots__ = ()
 
     @classmethod
     def of(cls, term, coeff=ONE):
@@ -324,7 +316,9 @@ class LinComb:
             coeff = exact(coeff)
             if coeff == 0:
                 return cls()
-        return cls({term: coeff})
+        out = cls()
+        out[term] = coeff
+        return out
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -333,35 +327,20 @@ class LinComb:
             out.add_in(cls.of(t), c)
         return out
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, LinComb) and self.terms == other.terms
-
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def items(self):
-        return self.terms.items()
-
-    def coeff(self, term):
-        return self.terms.get(term, ZERO)
+        return hash(frozenset(self.items()))
 
     def __add__(self, other):
-        return LinComb(dict(self.terms)).add_in(other)
+        return LinComb(self).add_in(other)
 
     def __sub__(self, other):
-        return self + -other
+        return LinComb(self).add_in(other, -1)
 
     def __neg__(self):
-        return LinComb({t: -c for t, c in self.terms.items()})
+        out = LinComb()
+        for t, c in self.items():
+            out[t] = -c
+        return out
 
     def scale(self, k):
         return LinComb().add_in(self, k)
@@ -376,26 +355,26 @@ class LinComb:
         its ``int`` numerator."""
         if k is not ONE:
             k = exact(k)
-        out = self.terms
-        for t, c in other.terms.items():
+        get = self.get
+        for t, c in other.items():
             if k is not ONE:
                 c = c * k
-            nc = out.get(t)
+            nc = get(t)
             if nc is not None:
                 c = nc + c
             if c == 0:
-                out.pop(t, None)
+                self.pop(t, None)
             else:
                 if c.__class__ is not int and c.denominator == 1:
                     c = c.numerator
-                out[t] = c
+                self[t] = c
         return self
 
     def map_terms(self, f):
         """Linear extension of a map term -> LinComb (``multilinear`` with
         one combination)."""
         out = LinComb()
-        for t, c in self.terms.items():
+        for t, c in self.items():
             out.add_in(f(t), c)
         return out
 
@@ -410,7 +389,7 @@ def multilinear(f, *combs):
     times the product of their coefficients. Choices are visited in
     iteration order, the first combination outermost."""
     out = LinComb()
-    for tcs in itertools.product(*(x.terms.items() for x in combs)):
+    for tcs in itertools.product(*(x.items() for x in combs)):
         ts, cs = zip(*tcs)
         out.add_in(f(*ts), reduce(mul, cs))
     return out

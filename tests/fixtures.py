@@ -20,7 +20,7 @@ def scan_normalize(x, pick):
     (``max`` is ``normalize``'s order). Returns the normal form, the steps as
     (rule, term, path, image), and how many terms came back into the working
     set after an image cancelled them."""
-    work = LinComb(dict(normal._start(x).terms))
+    work = LinComb(normal._start(x))
     steps, gone, returns = [], set(), 0
     while True:
         victims = [t for t in work if not is_B(t)]
@@ -32,7 +32,7 @@ def scan_normalize(x, pick):
         steps.append((step.rule, t, step.path, image))
         returns += sum(1 for u in image if u in gone and u not in work)
         gone |= {u for u in image if u in work}
-        work.add_in(image, work.terms.pop(t))
+        work.add_in(image, work.pop(t))
         gone -= set(work)
 
 

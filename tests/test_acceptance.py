@@ -133,7 +133,7 @@ def test_criterion_05_phi_properties():
         assert len(set(ts)) == len(shat)
         for s in shat:
             coords = to_shat(t_value(phi(s)))
-            assert coords.coeff(s) == 1
+            assert coords.get(s, 0) == 1
             assert all(cmp_shat(u, s) < 0 for u in coords if u is not s)
     report("criterion 5", "bijection and strict triangularity through 5 vertices",
            time.time() - t0)
@@ -157,7 +157,7 @@ def test_criterion_07_relation_annihilation():
         for args in sample_basis_tuples(arity, 6, 500, seed=7, alphabet=A1):
             residual = relation_residual(rule, args)
             nf, trace = normalize(residual)
-            assert nf == LinComb.zero(), (rule, args)
+            assert nf == LinComb(), (rule, args)
             assert check_trace(residual, nf, trace), (rule, args)
             total += 1
     elapsed = time.time() - t0
@@ -203,8 +203,8 @@ def test_criterion_09_lts_hall():
         skew = LinComb.of(node3(u, v, w)) + LinComb.of(node3(v, u, w))
         cyc = (LinComb.of(node3(u, v, w)) + LinComb.of(node3(v, w, u))
                + LinComb.of(node3(w, u, v)))
-        assert lts_hall_rewrite(skew, cmp_gen) == LinComb.zero()
-        assert lts_hall_rewrite(cyc, cmp_gen) == LinComb.zero()
+        assert lts_hall_rewrite(skew, cmp_gen) == LinComb()
+        assert lts_hall_rewrite(cyc, cmp_gen) == LinComb()
     report("criterion 9", "Hall-only output, idempotence, and relation "
            "annihilation on 200 seeded inputs", time.time() - t0)
 

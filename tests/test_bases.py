@@ -104,7 +104,7 @@ def test_phi_triangularity():
     for n in range(1, 6):
         for s in enumerate_Shat(n, A1):
             coords = to_shat(t_value(phi(s)))
-            assert coords.coeff(s) == 1
+            assert coords.get(s, 0) == 1
             for u in coords:
                 if u is not s:
                     assert cmp_shat(u, s) < 0

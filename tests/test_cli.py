@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import plyalg
+from plyalg import suites, yamaguti
 from plyalg.cli import main
 from plyalg.exprs import MAX_NESTING
+from plyalg.terms import Alphabet, LinComb
 
 
 def run(capsys, *argv):
@@ -387,6 +389,70 @@ def test_check_failure_exit_3(capsys, monkeypatch):
                         lambda **kw: (False, {"pass": False}))
     code, out, _ = run(capsys, "check", "--suite", "census")
     assert code == 3 and json.loads(out)["pass"] is False
+
+
+_A = LinComb.of(Alphabet.of_size(1).gens[0])
+
+
+def _nonzero_nf(monkeypatch):
+    normalize = suites.normalize
+
+    def nonzero(x):
+        nf, trace = normalize(x)
+        return nf + _A, trace
+
+    monkeypatch.setattr(suites, "normalize", nonzero)
+
+
+def _ly_binary_adds_a_term(monkeypatch):
+    ly_binary = yamaguti.ly_binary
+    monkeypatch.setattr(yamaguti, "ly_binary", lambda x, y: ly_binary(x, y) + _A)
+
+
+def _hall_rewrite_is_identity(monkeypatch):
+    monkeypatch.setattr(suites.hall, "lts_hall_rewrite", lambda x, cmpl: x)
+
+
+def _decompose_drops_a_term(monkeypatch):
+    decompose = suites.decompose
+    monkeypatch.setattr(suites, "decompose",
+                        lambda x, cmp: LinComb(list(decompose(x, cmp).items())[1:]))
+
+
+def _wrong_known_dimension(monkeypatch):
+    monkeypatch.setitem(suites.KNOWN_B, 1, (1, 1, 4, 9))
+
+
+def _failures(report):
+    """A check report's failure entries, wherever its suite lists them."""
+    if report["suite"] == "ply-axioms":
+        return [f for r in report["results"] for f in r["failures"]]
+    if report["suite"] == "census":
+        return [r for r in report["rows"] if not r["ok"]]
+    return report["failures"]
+
+
+@pytest.mark.parametrize("argv,plant,fields", [
+    (("ply-axioms", "--max-vertices", "3"), _nonzero_nf,
+     [{"args", "residual", "trace_ok"}]),
+    (("ly-axioms", "--max-vertices", "3"), _ly_binary_adds_a_term,
+     [{"axiom", "args", "residual"}]),
+    (("lts-hall", "--max-vertices", "4", "--samples", "20"), _hall_rewrite_is_identity,
+     [{"kind", "input"}]),
+    (("osbb-roundtrip", "--max-vertices", "2", "--gens", "2"), _decompose_drops_a_term,
+     [{"kind", "word"}, {"kind", "osbb"}]),
+    (("census", "--max-vertices", "4"), _wrong_known_dimension,
+     [{"n", "S", "S_expected", "Shat", "T", "beta_expected", "B", "ok"}]),
+], ids=["ply-axioms", "ly-axioms", "lts-hall", "osbb-roundtrip", "census"])
+def test_check_failure_report(capsys, monkeypatch, argv, plant, fields):
+    # a planted fault: the suite exits 3 and reports each failing instance
+    # with the fields it writes
+    plant(monkeypatch)
+    code, out, _ = run(capsys, "check", "--suite", *argv)
+    report = json.loads(out)
+    failures = _failures(report)
+    assert code == 3 and report["pass"] is False and failures
+    assert all(set(f) in fields for f in failures), failures
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,8 +32,8 @@ def test_parse_lincomb():
 
 
 def test_parse_zero():
-    assert parse_algebra("0", A1) == LinComb.zero()
-    assert render_lincomb(LinComb.zero()) == "0"
+    assert parse_algebra("0", A1) == LinComb()
+    assert render_lincomb(LinComb()) == "0"
 
 
 def test_whitespace_insensitive():

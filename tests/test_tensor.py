@@ -48,12 +48,12 @@ def test_forest_graft_is_tree():
 
 def test_unit_rules():
     assert triangle(unit(), olc(a, b)) == olc(a, b)
-    assert triangle(olc(a), unit()) == LinComb.zero()
+    assert triangle(olc(a), unit()) == LinComb()
 
 
 def test_lie_word():
     x, y = olc(a), olc(b)
-    assert lie_word(x, x) == LinComb.zero()
+    assert lie_word(x, x) == LinComb()
     assert lie_word(x, y) == olc(a, b) - olc(b, a)
 
 
@@ -61,7 +61,7 @@ def test_lie_word_jacobi():
     x, y, z = olc(a), olc(b), olc(c)
     total = (lie_word(lie_word(x, y), z) + lie_word(lie_word(y, z), x)
              + lie_word(lie_word(z, x), y))
-    assert total == LinComb.zero()
+    assert total == LinComb()
 
 
 def test_commutator_acts_as_triple_bracket():
@@ -73,9 +73,9 @@ def test_commutator_acts_as_triple_bracket():
 
 def test_triple_bracket_antisymmetry():
     x, z = LinComb.of(a), LinComb.of(c)
-    assert triple_bracket(x, x, z) == LinComb.zero()
+    assert triple_bracket(x, x, z) == LinComb()
     y = LinComb.of(b)
-    assert triple_bracket(x, y, z) + triple_bracket(y, x, z) == LinComb.zero()
+    assert triple_bracket(x, y, z) + triple_bracket(y, x, z) == LinComb()
 
 
 def test_triple_bracket_expansion():

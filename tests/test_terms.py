@@ -173,9 +173,15 @@ def test_graft_requires_branches():
 def test_lincomb_basic():
     x = LinComb.of(a, Fraction(2, 3)) + LinComb.of(a, Fraction(1, 3))
     assert x == LinComb.of(a)
-    assert LinComb.of(a) - LinComb.of(a) == LinComb.zero()
-    assert LinComb.of(a).scale(0) == LinComb.zero()
-    assert not LinComb.zero()
+    assert LinComb.of(a) - LinComb.of(a) == LinComb()
+    assert LinComb.of(a).scale(0) == LinComb()
+    assert not LinComb()
+    assert LinComb.of(a, 0) == {} and LinComb.of(a, Fraction(0, 3)) == {}
+    assert LinComb.of(a, Fraction(1, 3)).add_in(LinComb.of(a), Fraction(-1, 3)) == {}
+    # a combination is the dict itself, with no instance attributes
+    y = LinComb.of(a, 2) + LinComb.of(b, Fraction(1, 2))
+    assert isinstance(y, dict) and not hasattr(y, "__dict__")
+    assert dict(y) == {a: 2, b: Fraction(1, 2)} and y.get(brk(a, b), 0) == 0
 
 
 _terms = st.sampled_from([a, b, brk(a, b), graft((a,), a), graft((b, a), a)])
@@ -191,8 +197,8 @@ def _lincombs():
 def test_lincomb_vector_space(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
-    assert x + LinComb.zero() == x
-    assert x - x == LinComb.zero()
+    assert x + LinComb() == x
+    assert x - x == LinComb()
 
 
 @given(_lincombs(), _lincombs(), _coeffs, _coeffs)
@@ -208,10 +214,23 @@ def _brk_and_double(s, t):
 
 @given(_lincombs(), _lincombs(), _coeffs)
 def test_lincomb_no_zero_coefficients(x, y, k):
-    acc = LinComb(dict(x.terms)).add_in(y, k)
-    for z in (x, y, x + y, x - y, -x, x.scale(k), acc,
+    acc = LinComb(x).add_in(y, k)
+    back = LinComb(acc).add_in(x, -1)  # x taken back out: its terms cancel
+    assert back == y.scale(k)
+    for z in (x, y, x + y, x - y, -x, x.scale(k), acc, back,
               multilinear(_brk_and_double, x, y)):
         assert_exact_coefficients(z)
+
+
+@given(_lincombs())
+def test_lincomb_of_a_combination_is_a_copy(x):
+    before = dict(x)
+    y = LinComb(x)
+    assert y == x and y is not x
+    y.add_in(LinComb.of(a))
+    y[b] = 7
+    y.pop(brk(a, b), None)
+    assert dict(x) == before
 
 
 @given(_lincombs())
