@@ -355,6 +355,8 @@ class LinComb(dict):
         its ``int`` numerator."""
         if k is not ONE:
             k = exact(k)
+        if other is self:   # read a snapshot: terms that cancel are popped
+            other = dict(other)
         get = self.get
         for t, c in other.items():
             if k is not ONE:

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from plyalg.linalg import SingularSolveError, invert, rank
+from plyalg.linalg import SingularSolveError, _bareiss_forward, _integerize, invert, rank
 from plyalg.orders import cmp_shat
-from plyalg.osbb import decompose, expand, expand_lincomb, words_for_multiset
+from plyalg.osbb import _component, decompose, expand, expand_lincomb, words_for_multiset
 from plyalg.terms import Alphabet, LinComb, block, osbb_word
 
 A = Alphabet.of_size(3)
@@ -101,14 +101,111 @@ def test_components_square():
             assert n_words == n_perms, ms
 
 
+def _dense_inverse(rows):
+    """Oracle: the dense exact inverse of a square rational matrix as
+    Fraction rows, by Bareiss elimination of ``[S*A | S]`` (``S`` the
+    diagonal of row scales) and an integer back-substitution.
+
+    With ``U X = B`` the triangular system the forward pass leaves and
+    ``d = U[n-1][n-1] = det(P*S*A)``, ``Y = d*X`` is ``+-adj(S*A)*S``, hence
+    integral, and ``U[r][r] * Y[r] = d*B[r] - sum(U[r][c] * Y[c] for c > r)``
+    holds in integers, which makes its division by ``U[r][r]`` exact.
+    """
+    n = len(rows)
+    a, scales = _integerize([list(r) for r in rows])
+    for i in range(n):
+        a[i].extend(scales[i] if j == i else 0 for j in range(n))
+    pivots = _bareiss_forward(a)
+    if pivots != list(range(n)):
+        raise SingularSolveError("matrix is singular")
+    d = a[n - 1][n - 1] if n else 1
+    y = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        acc = [d * v for v in row[n:]]
+        for c in range(r + 1, n):
+            f = row[c]
+            if f:
+                acc = [s - f * v for s, v in zip(acc, y[c])]
+        y[r] = [s // row[r] for s in acc]
+    return [[Fraction(v, d) for v in row] for row in y]
+
+
+def _columns(inv, n):
+    return [tuple(inv.column(j)) for j in range(n)]
+
+
+def _dense_columns(inv):
+    """The nonzero entries of each column of a dense inverse, as ``column`` gives them."""
+    return [tuple((i, x) for i, x in enumerate(col) if x) for col in zip(*inv)]
+
+
+# the letter multiplicity patterns the osbb benchmark workload decomposes
+OSBB_PATTERNS = ((1, 1, 1), (2, 1),
+                 (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1),
+                 (1, 1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1), (3, 1, 1),
+                 (3, 2, 1), (4, 1, 1))
+
+
+def _component_columns_match_oracle(ms):
+    words, index, inv = _component(ms, cmp_shat)
+    n = len(words)
+    mat = [[0] * n for _ in range(n)]
+    for j, ow in enumerate(words):
+        for w, c in expand(ow).items():
+            mat[index[w]][j] = c
+    return _columns(inv, n) == _dense_columns(_dense_inverse(mat))
+
+
+@pytest.mark.parametrize("pattern", OSBB_PATTERNS)
+def test_component_columns_match_dense_oracle(pattern):
+    # every arrangement of the multiplicities over the ordered letters
+    gens = Alphabet.of_size(len(pattern)).gens
+    for counts in sorted(set(itertools.permutations(pattern))):
+        ms = tuple(g for g, k in zip(gens, counts) for _ in range(k))
+        assert _component_columns_match_oracle(ms), ms
+
+
+@pytest.mark.parametrize("gens", [3, 4])
+def test_roundtrip_grid_columns_match_dense_oracle(gens):
+    # the components of ``check --suite osbb-roundtrip`` (words up to length 4)
+    letters = Alphabet.of_size(gens).gens
+    for n in range(1, 5):
+        for ms in itertools.combinations_with_replacement(letters, n):
+            assert _component_columns_match_oracle(ms), ms
+
+
+def test_six_distinct_letters():
+    # one 720x720 component
+    a_, b_, c_, d_, e_, f_ = Alphabet.of_size(6).gens
+    w = (f_, e_, d_, c_, b_, a_)
+    dec = decompose(olc(*w), cmp_shat)
+    assert expand_lincomb(dec) == olc(*w)
+    for ow in dec:
+        assert ow.length == 6
+        assert sorted(ow.letters(), key=lambda t: t.index) == \
+            sorted(w, key=lambda t: t.index)
+
+
 def test_linalg_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = invert(m)
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    assert invert([]) == []
+    assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
+    assert all(type(x) is int for j in range(2) for _, x in inv.column(j))
+    # read again, from the column cache once every column is solved
+    assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
+    inv = invert([[Fraction(0), Fraction(1, 3)], [Fraction(2), Fraction(0)]])
+    assert _columns(inv, 2) == [((1, 3),), ((0, Fraction(1, 2)),)]
+    assert _dense_inverse([]) == [] and _columns(invert([]), 0) == []
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    with pytest.raises(SingularSolveError):
-        invert([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    for singular in ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
+                     [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)]],
+                     [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]],
+                     [[Fraction(0)]]):
+        with pytest.raises(SingularSolveError):
+            invert(singular)
+        with pytest.raises(SingularSolveError):
+            _dense_inverse(singular)
 
 
 def _gauss_jordan(m):
@@ -152,13 +249,17 @@ def test_linalg_matches_gauss_jordan():
             if ref is None:
                 with pytest.raises(SingularSolveError):
                     invert(mat)
+                with pytest.raises(SingularSolveError):
+                    _dense_inverse(mat)
                 continue
-            inv = invert(mat)
-            assert inv == ref
-            assert all(type(x) is Fraction for row in inv for x in row)
-            prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inv)]
-                    for row in mat]
-            assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+            assert _dense_inverse(mat) == ref
+            cols = _columns(invert(mat), n)
+            assert cols == _dense_columns(ref)
+            assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                       for col in cols for _, x in col)
+            for j, col in enumerate(cols):
+                assert [sum(row[i] * x for i, x in col) for row in mat] == \
+                    [int(i == j) for i in range(n)]
 
 
 def test_linalg_rank_deficient():

@@ -222,6 +222,18 @@ def test_lincomb_no_zero_coefficients(x, y, k):
         assert_exact_coefficients(z)
 
 
+@given(_lincombs(), _coeffs)
+def test_lincomb_add_in_itself(x, k):
+    assert LinComb(x).add_in(LinComb(x), -1) == LinComb()
+    y = LinComb(x)
+    assert y.add_in(y, -1) == LinComb()
+    y = LinComb(x)
+    assert y.add_in(y) == 2 * x
+    y = LinComb(x)
+    assert y.add_in(y, k) == x.scale(1 + k)
+    assert_exact_coefficients(y)
+
+
 @given(_lincombs())
 def test_lincomb_of_a_combination_is_a_copy(x):
     before = dict(x)
