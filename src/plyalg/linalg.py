@@ -1,10 +1,10 @@
-"""Exact linear algebra by fraction-free (Bareiss) elimination over the
-integers: ``rank`` for the spanning-rank oracles, and ``invert`` for OSBB
-decomposition, a sparse factorization in a fill-reducing (Markowitz) order
-whose inverse is solved one column at a time, in integers, with one
-``Fraction`` built per entry at the end. The 120×120 OSBB component factors
-in about 5 ms and a column takes about 0.3 ms (Python 3.11.7 on a 2-vCPU
-VM).
+"""Exact linear algebra by one fraction-free (Bareiss) elimination over the
+integers, sparse and in a fill-reducing (Markowitz) order, ``_eliminate``.
+It serves both ``rank``, for the spanning-rank oracles, and ``invert``, for
+OSBB decomposition, whose inverse is solved one column at a time, in
+integers, with one ``Fraction`` built per entry at the end. The 120×120
+OSBB component factors in about 5 ms and a column takes about 0.3 ms
+(Python 3.11.7 on a 2-vCPU VM).
 """
 from __future__ import annotations
 
@@ -18,108 +18,40 @@ class SingularSolveError(Exception):
     signals an internal enumeration bug, not bad user input."""
 
 
-def _integerize(rows):
-    """Scale each row by the lcm of its denominators; returns (int rows, scales)."""
-    out, scales = [], []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([x.numerator * (d // x.denominator) for x in row])
-        scales.append(d)
-    return out, scales
+def _eliminate(cols, n_rows):
+    """Fraction-free (Bareiss) elimination of the rational matrix ``M``
+    whose columns are ``cols`` (each a dict, row -> nonzero entry), in a
+    fill-reducing (Markowitz) order; returns ``(steps, scales, d)`` with
+    one step per pivot, so ``len(steps)`` is the rank of ``M``.
 
-
-def _bareiss_forward(a):
-    """In-place fraction-free forward elimination with row pivoting.
-
-    Returns the list of pivot column indices. Entries stay integers; the
-    divisions are exact by the Bareiss identity. A row with 0 in the pivot
-    column would only be rescaled by ``p / prev``, so it is left alone and
-    remembers the pivot ``q`` it was last brought to: its next update
-    divides by ``q`` in place of ``prev``, which folds the skipped
-    rescales into one exact division. Rows below the last pivot row may
-    be left unscaled; only their zero pattern is meaningful.
+    Scaling each column by the lcm of its denominators (``scales``) gives
+    ``M = A*D^-1`` with ``A`` integral. Each step pivots on a column with
+    the fewest nonzeros left, at its row with the fewest nonzeros, and
+    updates only the rows with a nonzero in that column; a column with no
+    nonzero left is skipped. A row that is not updated at a step keeps the
+    pivot ``q`` it was last brought to, and its next update divides by
+    ``q`` in place of the previous pivot, which folds the skipped rescales
+    into one exact division. A step records its pivot row ``r`` and column
+    ``c``, the level ``q`` of row ``r``, the pivot ``p``, its updates
+    ``(s, f, q_s)`` and row ``r`` itself, a row of ``U``. The last pivot
+    ``d`` is ``det(P*A*Q)`` when ``M`` is invertible.
     """
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
+    scales = [lcm(*(x.denominator for x in col.values())) for col in cols]
+    a = [{} for _ in range(n_rows)]
+    for c, col in enumerate(cols):
+        for r, x in col.items():
+            a[r][c] = x.numerator * (scales[c] // x.denominator)
+    nz = [set(col) for col in cols]     # the unpivoted rows with a nonzero in each column
     level = [1] * n_rows
-    prev = 1
-    piv_r = 0
-    pivots = []
-    for piv_c in range(n_cols):
-        if piv_r >= n_rows:
-            break
-        for i in range(piv_r, n_rows):
-            if a[i][piv_c] != 0:
-                break
-        else:
-            continue
-        if i != piv_r:
-            a[piv_r], a[i] = a[i], a[piv_r]
-            level[piv_r], level[i] = level[i], level[piv_r]
-        prow = a[piv_r]
-        q = level[piv_r]
-        if q != prev:
-            prow = a[piv_r] = [x * prev // q for x in prow]
-        p = prow[piv_c]
-        for r in range(piv_r + 1, n_rows):
-            row = a[r]
-            f = row[piv_c]
-            if f:
-                q = level[r]
-                a[r] = [(x * p - f * y) // q for x, y in zip(row, prow)]
-                level[r] = p
-        prev = p
-        pivots.append(piv_c)
-        piv_r += 1
-    return pivots
-
-
-def rank(rows):
-    """Exact rank of a rational matrix."""
-    if not rows:
-        return 0
-    a, _ = _integerize([list(r) for r in rows])
-    return len(_bareiss_forward(a))
-
-
-def invert(rows):
-    """Factor a square rational matrix ``M`` once; its inverse is read one
-    column at a time from the returned ``Inverse``. Raises
-    SingularSolveError if ``M`` is singular.
-
-    Scaling each column by the lcm of its denominators gives ``M = A*D^-1``
-    with ``A`` integral. The sparse rows of ``A`` (column -> int) go through
-    the elimination of ``_bareiss_forward``, skipped rescales included, in
-    a Markowitz order: each step pivots on a column with the fewest
-    nonzeros left, at its row with the fewest nonzeros, and updates only
-    the rows with a nonzero in that column. A step records its pivot row
-    ``r`` and column ``c``, the level ``q`` row ``r`` was last brought to,
-    the pivot ``p``, its updates ``(s, f, q_s)`` and row ``r`` itself, a
-    row of ``U``. The last pivot ``d`` is ``det(P*A*Q)``.
-    """
-    n = len(rows)
-    assert all(len(r) == n for r in rows)
-    a = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    scales = [1] * n
-    for row in a:
-        for c, x in row.items():
-            if x.denominator != 1:
-                scales[c] = lcm(scales[c], x.denominator)
-    cols = [set() for _ in range(n)]    # the unpivoted rows with a nonzero in each column
-    for r, row in enumerate(a):
-        for c, x in row.items():
-            row[c] = x.numerator * (scales[c] // x.denominator)
-            cols[c].add(r)
-    level = [1] * n
-    active = set(range(n))
+    active = set(range(len(cols)))
     steps = []
     prev = 1
-    for _ in range(n):
-        c = min(active, key=lambda j: len(cols[j]))
-        col = cols[c]
-        if not col:
-            raise SingularSolveError("matrix is singular (rank %d of %d)" % (rank(rows), n))
+    while active:
+        c = min(active, key=lambda j: len(nz[j]))
         active.remove(c)
+        col = nz[c]
+        if not col:
+            continue
         r = min(col, key=lambda i: len(a[i]))
         col.remove(r)
         prow, a[r] = a[r], None
@@ -128,7 +60,7 @@ def invert(rows):
             prow = {j: x * prev // q for j, x in prow.items()}
         p = prow.pop(c)
         for j in prow:
-            cols[j].discard(r)
+            nz[j].discard(r)
         ops = []
         for s in col:
             row = a[s]
@@ -139,16 +71,36 @@ def invert(rows):
                 x = (row.get(j, 0) * p - f * y) // q_s
                 if x:
                     new[j] = x
-                    cols[j].add(s)
+                    nz[j].add(s)
                 elif j in row:
-                    cols[j].discard(s)
+                    nz[j].discard(s)
             a[s] = new
             level[s] = p
             ops += (s, f, q_s)
         col.clear()
         steps.append((r, c, q, p, tuple(ops), tuple(prow), tuple(prow.values())))
         prev = p
-    return Inverse(tuple(steps), scales, prev)
+    return steps, scales, prev
+
+
+def rank(rows):
+    """Exact rank of a rational matrix, eliminated with its rows read as
+    columns (the rank of the transpose)."""
+    cols = [{i: x for i, x in enumerate(row) if x} for row in rows]
+    return len(_eliminate(cols, len(rows[0]) if rows else 0)[0])
+
+
+def invert(cols):
+    """Factor a square rational matrix ``M``, given as its ``n`` columns
+    (each a dict, row -> nonzero entry), once by ``_eliminate``; its inverse
+    is read one column at a time from the returned ``Inverse``. Raises
+    SingularSolveError if ``M`` is singular.
+    """
+    n = len(cols)
+    steps, scales, d = _eliminate(cols, n)
+    if len(steps) < n:
+        raise SingularSolveError("matrix is singular (rank %d of %d)" % (len(steps), n))
+    return Inverse(steps, scales, d)
 
 
 class Inverse:

@@ -69,13 +69,15 @@ def test_enum_listing_digest(capsys, basis, n, gens, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("word,digest", [
-    ("w(a,b,c,d,e)", "04febb29b18baf29"),
-    ("w(a,a,b,c,d)", "a03d05b057d29aae"),
-], ids=["120-permutations", "60-permutations"])
-def test_osbb_decomposition_digest(capsys, word, digest):
-    # the words fill the 5-distinct-letter component and a 60-permutation one
-    code = main(["osbb", word, "--gens", "a,b,c,d,e", "--json"])
+@pytest.mark.parametrize("word,gens,digest", [
+    ("w(a,b,c,d,e)", "a,b,c,d,e", "04febb29b18baf29"),
+    ("w(a,a,b,c,d)", "a,b,c,d,e", "a03d05b057d29aae"),
+    ("w(f,e,d,c,b,a)", "a,b,c,d,e,f", "357c064afe32c593"),
+], ids=["120-permutations", "60-permutations", "720-permutations"])
+def test_osbb_decomposition_digest(capsys, word, gens, digest):
+    # the words fill the 5- and 6-distinct-letter components and a
+    # 60-permutation one
+    code = main(["osbb", word, "--gens", gens, "--json"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest

@@ -3,10 +3,11 @@ and letter conservation."""
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from plyalg.linalg import SingularSolveError, _bareiss_forward, _integerize, invert, rank
+from plyalg.linalg import SingularSolveError, invert, rank
 from plyalg.orders import cmp_shat
 from plyalg.osbb import _component, decompose, expand, expand_lincomb, words_for_multiset
 from plyalg.terms import Alphabet, LinComb, block, osbb_word
@@ -101,6 +102,64 @@ def test_components_square():
             assert n_words == n_perms, ms
 
 
+# The oracle's elimination: dense, row by row, and sharing no code with
+# ``plyalg.linalg``.
+def _integerize(rows):
+    """Scale each row by the lcm of its denominators; returns (int rows, scales)."""
+    out, scales = [], []
+    for row in rows:
+        d = lcm(*(x.denominator for x in row)) if row else 1
+        out.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return out, scales
+
+
+def _bareiss_forward(a):
+    """In-place fraction-free forward elimination with row pivoting.
+
+    Returns the list of pivot column indices. Entries stay integers; the
+    divisions are exact by the Bareiss identity. A row with 0 in the pivot
+    column would only be rescaled by ``p / prev``, so it is left alone and
+    remembers the pivot ``q`` it was last brought to: its next update
+    divides by ``q`` in place of ``prev``, which folds the skipped
+    rescales into one exact division. Rows below the last pivot row may
+    be left unscaled; only their zero pattern is meaningful.
+    """
+    n_rows = len(a)
+    n_cols = len(a[0]) if n_rows else 0
+    level = [1] * n_rows
+    prev = 1
+    piv_r = 0
+    pivots = []
+    for piv_c in range(n_cols):
+        if piv_r >= n_rows:
+            break
+        for i in range(piv_r, n_rows):
+            if a[i][piv_c] != 0:
+                break
+        else:
+            continue
+        if i != piv_r:
+            a[piv_r], a[i] = a[i], a[piv_r]
+            level[piv_r], level[i] = level[i], level[piv_r]
+        prow = a[piv_r]
+        q = level[piv_r]
+        if q != prev:
+            prow = a[piv_r] = [x * prev // q for x in prow]
+        p = prow[piv_c]
+        for r in range(piv_r + 1, n_rows):
+            row = a[r]
+            f = row[piv_c]
+            if f:
+                q = level[r]
+                a[r] = [(x * p - f * y) // q for x, y in zip(row, prow)]
+                level[r] = p
+        prev = p
+        pivots.append(piv_c)
+        piv_r += 1
+    return pivots
+
+
 def _dense_inverse(rows):
     """Oracle: the dense exact inverse of a square rational matrix as
     Fraction rows, by Bareiss elimination of ``[S*A | S]`` (``S`` the
@@ -133,6 +192,11 @@ def _dense_inverse(rows):
 
 def _columns(inv, n):
     return [tuple(inv.column(j)) for j in range(n)]
+
+
+def _sparse(rows):
+    """A dense matrix's columns as ``invert`` takes them: row -> nonzero entry."""
+    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows))]
 
 
 def _dense_columns(inv):
@@ -189,21 +253,21 @@ def test_six_distinct_letters():
 
 def test_linalg_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = invert(m)
+    inv = invert(_sparse(m))
     assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
     assert all(type(x) is int for j in range(2) for _, x in inv.column(j))
     # read again, from the column cache once every column is solved
     assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
-    inv = invert([[Fraction(0), Fraction(1, 3)], [Fraction(2), Fraction(0)]])
+    inv = invert(_sparse([[Fraction(0), Fraction(1, 3)], [Fraction(2), Fraction(0)]]))
     assert _columns(inv, 2) == [((1, 3),), ((0, Fraction(1, 2)),)]
     assert _dense_inverse([]) == [] and _columns(invert([]), 0) == []
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    for singular in ([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
-                     [[Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)]],
-                     [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]],
-                     [[Fraction(0)]]):
-        with pytest.raises(SingularSolveError):
-            invert(singular)
+    for singular, r in (([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 1),
+                        ([[Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)]], 1),
+                        ([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]], 1),
+                        ([[Fraction(0)]], 0)):
+        with pytest.raises(SingularSolveError, match=r"\(rank %d of %d\)" % (r, len(singular))):
+            invert(_sparse(singular))
         with pytest.raises(SingularSolveError):
             _dense_inverse(singular)
 
@@ -247,13 +311,13 @@ def test_linalg_matches_gauss_jordan():
             r, ref = _gauss_jordan(mat)
             assert rank(mat) == r
             if ref is None:
-                with pytest.raises(SingularSolveError):
-                    invert(mat)
+                with pytest.raises(SingularSolveError, match=r"\(rank %d of %d\)" % (r, n)):
+                    invert(_sparse(mat))
                 with pytest.raises(SingularSolveError):
                     _dense_inverse(mat)
                 continue
             assert _dense_inverse(mat) == ref
-            cols = _columns(invert(mat), n)
+            cols = _columns(invert(_sparse(mat)), n)
             assert cols == _dense_columns(ref)
             assert all(type(x) is (int if x.denominator == 1 else Fraction)
                        for col in cols for _, x in col)
@@ -274,8 +338,8 @@ def test_linalg_rank_deficient():
         r, _ = _gauss_jordan(m)
         assert r <= k and rank(m) == r
         if n_rows == n_cols and r < n_rows:
-            with pytest.raises(SingularSolveError):
-                invert(m)
+            with pytest.raises(SingularSolveError, match=r"\(rank %d of %d\)" % (r, n_rows)):
+                invert(_sparse(m))
     assert rank([[Fraction(0)] * 3] * 2) == 0
 
 
