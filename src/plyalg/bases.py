@@ -18,8 +18,8 @@ from .orders import cmp_ints, cmp_shat, shat_key, sort_by
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, block,
                     brk, canon_key, graft, memo, multilinear, ograft, osbb_word,
                     subterms, symgraft, triple)
-from .tensor import (graft_words, symmetrize, tree_brk, triple_bracket,
-                     word_act_trees, word_lincomb)
+from .tensor import (graft_words, orderings, symmetrize, tree_brk,
+                     triple_bracket, word_act_trees, word_lincomb)
 
 
 class BasisError(AssertionError):
@@ -301,9 +301,9 @@ def beta_count(n, k):
     return 2 ** (n - 1) * alpha_count(n, k)
 
 
-def _branch_tuples(m, pool, ordered):
-    """All tuples of pool elements with total vc m: every sequence if
-    ``ordered``, else every multiset once, in pool order."""
+def _branch_tuples(m, pool):
+    """Every multiset of pool elements with total vc m, once, as a tuple in
+    pool order."""
     pool = [t for t in pool if t.vc <= m]
     out = []
 
@@ -311,7 +311,7 @@ def _branch_tuples(m, pool, ordered):
         if rem == 0:
             out.append(tuple(acc))
             return
-        for j in range(0 if ordered else i, len(pool)):
+        for j in range(i, len(pool)):
             if pool[j].vc <= rem:
                 acc.append(pool[j])
                 rec(j, rem - pool[j].vc, acc)
@@ -325,9 +325,9 @@ def _graded(grade, n, alphabet, brackets, tree):
     """The n-vertex elements of the basis that ``grade(k, alphabet)`` lists:
     the generators at n = 1; else the brackets of two lower grades (if
     ``brackets``) and the words of lower grades grafted onto a generator or
-    bracket root. The tree basis (``tree``) grafts sequences and is sorted
-    by ``canon_key``; a block basis grafts the OSBB words of multisets and
-    is sorted by ``shat_key``."""
+    bracket root. The tree basis (``tree``) grafts the orderings of
+    multisets and is sorted by ``canon_key``; a block basis grafts their
+    OSBB words and is sorted by ``shat_key``."""
     assert n >= 1
     if n == 1:
         return tuple(alphabet.gens)
@@ -340,8 +340,8 @@ def _graded(grade, n, alphabet, brackets, tree):
                  [t for t in grade(rvc, alphabet) if t.kind == BRK])
         if not roots:
             continue
-        for b in _branch_tuples(n - rvc, pool, tree):
-            for w in ((b,) if tree else osbb.words_for_multiset(b, cmp_shat)):
+        for b in _branch_tuples(n - rvc, pool):
+            for w in (orderings(b) if tree else osbb.words_for_multiset(b, cmp_shat)):
                 items.extend(node(w, r) for r in roots)
     return tuple(sort_by(items, key))
 

@@ -9,13 +9,10 @@ letters.
 """
 from __future__ import annotations
 
-import itertools
-import math
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
-from .terms import BRK, GEN, GRAFT, LinComb, brk, graft, memo, multilinear
+from .terms import BRK, GEN, GRAFT, LinComb, brk, canon_key, graft, memo, multilinear
 
 EMPTY = ()
 
@@ -53,17 +50,22 @@ def word_lincomb(parts):
     return reduce(tensor_mul, map(letters_to_words, parts), unit())
 
 
+def orderings(ms):
+    """Each distinct ordering of a tuple whose equal letters are adjacent,
+    once; in ``canon_key`` order when ``ms`` is sorted by ``canon_key``."""
+    if not ms:
+        return [EMPTY]
+    return [(t,) + rest for i, t in enumerate(ms) if i == 0 or t is not ms[i - 1]
+            for rest in orderings(ms[:i] + ms[i + 1:])]
+
+
 def symmetrize(x):
-    """Average a word combination over all letter permutations (weight 1/n!)."""
+    """Average a word combination over all letter permutations: each of a
+    word's N = n!/(k1!·k2!···) distinct orderings has weight 1/N."""
     out = LinComb()
     for w, c in x.items():
-        n = len(w)
-        if n <= 1:
-            out.add_in(LinComb.of(w), c)
-            continue
-        scale = c * Fraction(1, math.factorial(n))
-        for perm, mult in Counter(itertools.permutations(w)).items():
-            out.add_in(LinComb.of(perm), scale * mult)
+        perms = orderings(tuple(sorted(w, key=canon_key)))
+        out.add_in(LinComb.fromkeys(perms, 1), Fraction(c, len(perms)))
     return out
 
 

@@ -1,7 +1,8 @@
 """Byte-identical outputs: the first 16 hex digits of the sha256 of the
 stdout of fixed `plyalg check` suites at the default seed, of `plyalg enum`
-for every basis at two grades over one generator and one over two, of
-`plyalg osbb` on two words with 5-letter components, of `plyalg phi-inv` on
+for every basis at two grades over one generator and one over two (two for
+the tree basis), of `plyalg osbb` on words whose components have 5 or 6
+distinct letters or 10 letters with repeats, of `plyalg phi-inv` on
 brackets, symmetric grafts and grade-6 trees over two generators (the change
 into triple coordinates and back), of the Hall normal forms of every
 ternary bracketing of a fixed size, of the whole tuple grids the relation
@@ -47,7 +48,7 @@ ENUM = {
     ("S", 5, 1): "c8e71edf7505d131", ("S", 6, 1): "dc3578709daa81dc",
     ("S", 4, 2): "79c0f09ed3284956",
     ("Bhat", 5, 1): "74d45281a608c549", ("Bhat", 6, 1): "ffdee850154611a3",
-    ("Bhat", 4, 2): "b113b9eaa81be081",
+    ("Bhat", 4, 2): "b113b9eaa81be081", ("Bhat", 5, 2): "26b7594e8bdcf747",
     ("Shat", 5, 1): "08703aff87315c39", ("Shat", 6, 1): "cca8c1e1166e6da4",
     ("Shat", 4, 2): "b2f3caae3f3a9e21",
     ("T", 5, 1): "847b5eeef9757403", ("T", 6, 1): "ecb305b61d3f0f91",
@@ -73,10 +74,13 @@ def test_enum_listing_digest(capsys, basis, n, gens, digest):
     ("w(a,b,c,d,e)", "a,b,c,d,e", "04febb29b18baf29"),
     ("w(a,a,b,c,d)", "a,b,c,d,e", "a03d05b057d29aae"),
     ("w(f,e,d,c,b,a)", "a,b,c,d,e,f", "357c064afe32c593"),
-], ids=["120-permutations", "60-permutations", "720-permutations"])
+    ("w(a,a,a,a,a,a,a,a,a,b)", "a,b", "459da20f3828e196"),
+    ("w(b,a,a,b,a,a,a,a,a,a)", "a,b", "46224f5d3960d837"),
+], ids=["120-permutations", "60-permutations", "720-permutations", "10-orderings",
+        "45-orderings"])
 def test_osbb_decomposition_digest(capsys, word, gens, digest):
-    # the words fill the 5- and 6-distinct-letter components and a
-    # 60-permutation one
+    # the words fill the 5- and 6-distinct-letter components, a
+    # 60-ordering one and two of ten letters with one or two repeated
     code = main(["osbb", word, "--gens", gens, "--json"])
     out = capsys.readouterr().out
     assert code == 0

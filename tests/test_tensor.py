@@ -1,13 +1,19 @@
 """Tensor algebra operations: concatenation, the extended triangle product,
 the word commutator, the triple-bracket, and symmetrization."""
+import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
+import pytest
+
+from lemmas import assert_exact_coefficients
 from plyalg.bases import enumerate_Bhat
 from plyalg.tensor import (_derive, graft_product, graft_words, letters_to_words,
-                           lie_word, symmetrize, tensor_mul, tree_mul, triangle,
-                           triple_bracket, unit, word_act_trees)
-from plyalg.terms import BRK, GEN, Alphabet, LinComb, graft
+                           lie_word, orderings, symmetrize, tensor_mul, tree_mul,
+                           triangle, triple_bracket, unit, word_act_trees)
+from plyalg.terms import BRK, GEN, Alphabet, LinComb, canon_key, graft
 
 A = Alphabet.of_size(3)
 a, b, c = A.gens
@@ -98,6 +104,48 @@ def test_symmetrize_small():
 def test_symmetrize_idempotent():
     w = olc(a, b, c) + olc(a, a, b).scale(Fraction(2, 5))
     assert symmetrize(symmetrize(w)) == symmetrize(w)
+
+
+def _multisets():
+    return [ms for n in range(7) for ms in combinations_with_replacement(A.gens, n)]
+
+
+def test_orderings_match_the_permutations():
+    # a canon-sorted multiset: every distinct permutation once, in the
+    # order of their canon_key tuples
+    for ms in _multisets():
+        assert orderings(ms) == sorted(set(permutations(ms)),
+                                       key=lambda w: tuple(map(canon_key, w))), ms
+
+
+def test_orderings_of_a_pool_ordered_tuple():
+    # equal letters adjacent but not in canon order: the same orderings,
+    # each once
+    for ms in _multisets():
+        out = orderings(ms[::-1])
+        assert len(out) == len(set(out)) and set(out) == set(permutations(ms)), ms
+
+
+def _symmetrize_by_permutations(x):
+    """Average over all n! permutations, each repeated ordering counted."""
+    out = LinComb()
+    for w, c in x.items():
+        scale = c * Fraction(1, math.factorial(len(w)))
+        for perm, mult in Counter(permutations(w)).items():
+            out.add_in(LinComb.of(perm), scale * mult)
+    return out
+
+
+@pytest.mark.parametrize("coeff", [1, 3, 6, -20, Fraction(2, 3), Fraction(-5, 7)])
+def test_symmetrize_repeated_letters(coeff):
+    words = [(a, a, b), (a, b, a, c, a), (a, a, a, a, b, b)]
+    xs = [LinComb.of(w, coeff) for w in words]
+    xs.append(LinComb.of((b, a, a), coeff) + LinComb.of((a, b, a, c, a), 2)
+              + LinComb.of((b, a, b, a, a, a), Fraction(1, 3)))
+    for x in xs:
+        y = symmetrize(x)
+        assert y == _symmetrize_by_permutations(x), x
+        assert_exact_coefficients(y)
 
 
 def test_derivation_rule_sampled(A2):
