@@ -1,10 +1,12 @@
-"""Exact linear algebra by one fraction-free (Bareiss) elimination over the
-integers, sparse and in a fill-reducing (Markowitz) order, ``_eliminate``.
-It serves both ``rank``, for the spanning-rank oracles, and ``invert``, for
-OSBB decomposition, whose inverse is solved one column at a time, in
-integers, with one ``Fraction`` built per entry at the end. The 120×120
-OSBB component factors in about 5 ms and a column takes about 0.3 ms
-(Python 3.11.7 on a 2-vCPU VM).
+"""Exact linear algebra by one fraction-free (Bareiss) elimination of an
+integer matrix, sparse and in a fill-reducing (Markowitz) order,
+``_eliminate``. It serves both ``rank``, for the spanning-rank oracles,
+which brings its rational rows to integers first, and ``invert``, for OSBB
+decomposition, which takes a rational matrix as integer columns and their
+scales and solves its inverse one column at a time, in integers, with one
+``Fraction`` built per entry at the end. The 120×120 OSBB component
+factors in about 5 ms and a column takes about 0.3 ms (Python 3.11.7 on a
+2-vCPU VM).
 """
 from __future__ import annotations
 
@@ -19,28 +21,25 @@ class SingularSolveError(Exception):
 
 
 def _eliminate(cols, n_rows):
-    """Fraction-free (Bareiss) elimination of the rational matrix ``M``
-    whose columns are ``cols`` (each a dict, row -> nonzero entry), in a
-    fill-reducing (Markowitz) order; returns ``(steps, scales, d)`` with
-    one step per pivot, so ``len(steps)`` is the rank of ``M``.
+    """Fraction-free (Bareiss) elimination of the integer matrix ``A``
+    whose columns are ``cols`` (each a dict, row -> nonzero ``int``), in a
+    fill-reducing (Markowitz) order; returns ``(steps, d)`` with one step
+    per pivot, so ``len(steps)`` is the rank of ``A``.
 
-    Scaling each column by the lcm of its denominators (``scales``) gives
-    ``M = A*D^-1`` with ``A`` integral. Each step pivots on a column with
-    the fewest nonzeros left, at its row with the fewest nonzeros, and
-    updates only the rows with a nonzero in that column; a column with no
-    nonzero left is skipped. A row that is not updated at a step keeps the
-    pivot ``q`` it was last brought to, and its next update divides by
-    ``q`` in place of the previous pivot, which folds the skipped rescales
-    into one exact division. A step records its pivot row ``r`` and column
-    ``c``, the level ``q`` of row ``r``, the pivot ``p``, its updates
-    ``(s, f, q_s)`` and row ``r`` itself, a row of ``U``. The last pivot
-    ``d`` is ``det(P*A*Q)`` when ``M`` is invertible.
+    Each step pivots on a column with the fewest nonzeros left, at its row
+    with the fewest nonzeros, and updates only the rows with a nonzero in
+    that column; a column with no nonzero left is skipped. A row that is
+    not updated at a step keeps the pivot ``q`` it was last brought to, and
+    its next update divides by ``q`` in place of the previous pivot, which
+    folds the skipped rescales into one exact division. A step records its
+    pivot row ``r`` and column ``c``, the level ``q`` of row ``r``, the
+    pivot ``p``, its updates ``(s, f, q_s)`` and row ``r`` itself, a row of
+    ``U``. The last pivot ``d`` is ``det(P*A*Q)`` when ``A`` is invertible.
     """
-    scales = [lcm(*(x.denominator for x in col.values())) for col in cols]
     a = [{} for _ in range(n_rows)]
     for c, col in enumerate(cols):
         for r, x in col.items():
-            a[r][c] = x.numerator * (scales[c] // x.denominator)
+            a[r][c] = x
     nz = [set(col) for col in cols]     # the unpivoted rows with a nonzero in each column
     level = [1] * n_rows
     active = set(range(len(cols)))
@@ -80,24 +79,30 @@ def _eliminate(cols, n_rows):
         col.clear()
         steps.append((r, c, q, p, tuple(ops), tuple(prow), tuple(prow.values())))
         prev = p
-    return steps, scales, prev
+    return steps, prev
 
 
 def rank(rows):
     """Exact rank of a rational matrix, eliminated with its rows read as
-    columns (the rank of the transpose)."""
-    cols = [{i: x for i, x in enumerate(row) if x} for row in rows]
+    columns (the rank of the transpose), each scaled by the lcm of its
+    denominators into integers."""
+    cols = []
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
+        cols.append({i: x.numerator * (s // x.denominator) for i, x in enumerate(row) if x})
     return len(_eliminate(cols, len(rows[0]) if rows else 0)[0])
 
 
-def invert(cols):
-    """Factor a square rational matrix ``M``, given as its ``n`` columns
-    (each a dict, row -> nonzero entry), once by ``_eliminate``; its inverse
-    is read one column at a time from the returned ``Inverse``. Raises
+def invert(cols, scales):
+    """Factor the square rational matrix ``M = A*D^-1`` once by
+    ``_eliminate``, given as the ``n`` columns of the integer matrix ``A``
+    (each a dict, row -> nonzero ``int``) and the ``n`` positive integers of
+    the diagonal ``D`` (``scales``); its inverse ``D*A^-1`` is read one
+    column at a time from the returned ``Inverse``. Raises
     SingularSolveError if ``M`` is singular.
     """
     n = len(cols)
-    steps, scales, d = _eliminate(cols, n)
+    steps, d = _eliminate(cols, n)
     if len(steps) < n:
         raise SingularSolveError("matrix is singular (rank %d of %d)" % (len(steps), n))
     return Inverse(steps, scales, d)

@@ -3,43 +3,63 @@ decomposition, which writes any tensor word uniquely as a combination of
 ordered symmetric-bracket-block words over a totally ordered letter basis.
 
 The decomposition works per (length, letter-multiset) component: enumerate
-every OSBB word with that multiset, expand each into a sparse column, and
-factor the exact linear system once (``linalg.invert``); a word reads only
-its own column of the inverse. Components are cached by ``terms.memo``,
-keyed by the sorted letter multiset and the letter order. A component is
-N×N, N the distinct orderings of its letters: k! for k distinct letters,
-n!/(k1!·k2!···) with repeats. At 5 distinct letters the first word takes
-about 0.02 s and each further word 0.5 ms; at 6, 0.13 s and 3.5 ms.
+every OSBB word with that multiset, expand each into a sparse integer
+column (``_expansion``: ``k`` times the expansion, ``k`` the product of its
+symmetric parts' ordering counts), and factor the exact linear system once
+(``linalg.invert``); a word reads only its own column of the inverse.
+Components are cached by ``terms.memo``, keyed by the sorted letter
+multiset and the letter order. A component is N×N, N the distinct
+orderings of its letters: k! for k distinct letters, n!/(k1!·k2!···) with
+repeats. At 5 distinct letters the first word takes about 7 ms and each
+further word 0.5 ms; at 6, 0.07 s and 3.3 ms.
 """
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from fractions import Fraction
 
 from . import linalg
-from .terms import LinComb, block, canon_key, memo, osbb_word
-from .tensor import orderings, symmetrize, tensor_mul
+from .terms import LinComb, block, canon_key, exact, memo, osbb_word
+from .tensor import orderings
+
+
+def _expansion(word):
+    """``k * expand(word)`` as ``{tensor word: +-1}``, and ``k``, the product
+    of the ordering counts of the word's symmetric parts.
+
+    The expansion s(S1)·[y1, z1]···s(Sm)·[ym, zm]·s(T) is, times ``k``, the
+    sum over one ordering of each symmetric part (sign +1) and one order of
+    each bracket pair (yz: +1, zy: -1) of their concatenation. The parts
+    have fixed lengths and y != z, so no two choices give the same word.
+    Choices are visited left to right, the first part outermost.
+    """
+    parts, k = [], 1
+    for b in word.blocks:
+        perms = orderings(b.sym)
+        k *= len(perms)
+        parts += ([(p, 1) for p in perms], (((b.y, b.z), 1), ((b.z, b.y), -1)))
+    perms = orderings(word.tail)
+    k *= len(perms)
+    parts.append([(p, 1) for p in perms])
+    out = {}
+    for choice in itertools.product(*parts):
+        w, sign = (), 1
+        for p, s in choice:
+            w += p
+            sign *= s
+        out[w] = sign
+    return out, k
 
 
 def expand(word):
-    """Expand one OSBB word into a combination of plain tensor words, from
-    the tail leftwards; an empty tail or symmetric part is the unit."""
-    out = symmetrize(LinComb.of(word.tail))
-    for b in reversed(word.blocks):
-        pair = LinComb.of((b.y, b.z)) - LinComb.of((b.z, b.y))
-        out = tensor_mul(tensor_mul(symmetrize(LinComb.of(b.sym)), pair), out)
-    return out
+    """Expand one OSBB word into a combination of plain tensor words; an
+    empty tail or symmetric part is the unit."""
+    terms, k = _expansion(word)
+    return LinComb((w, exact(Fraction(c, k))) for w, c in terms.items())
 
 
 def expand_lincomb(x):
     return x.map_terms(expand)
-
-
-def _submultisets(counter):
-    items = sorted(counter, key=canon_key)
-    ranges = [range(counter[t] + 1) for t in items]
-    for picks in itertools.product(*ranges):
-        yield tuple(t for t, k in zip(items, picks) for _ in range(k))
 
 
 _WORDS_CACHE = {}
@@ -53,22 +73,22 @@ def words_for_multiset(letters, cmp):
 @memo(_WORDS_CACHE)
 def _words(ms, cmp):
     out = [osbb_word((), ms)]
-    cnt = Counter(ms)   # its keys are in ``ms`` order, sorted
-    for y in cnt:
-        for z in cnt:
+    letters = list(dict.fromkeys(ms))   # the distinct letters, in ``ms`` order, sorted
+    counts = [ms.count(t) for t in letters]
+    for i, y in enumerate(letters):
+        for j, z in enumerate(letters):
             if cmp(y, z) <= 0:
                 continue
-            rem = cnt.copy()
-            rem[y] -= 1
-            rem[z] -= 1
-            rem = +rem
-            eligible = Counter({t: k for t, k in rem.items() if cmp(t, z) >= 0})
-            for sym in _submultisets(eligible):
-                rest = rem.copy()
-                rest.subtract(Counter(sym))
-                blk = block(sym, y, z)
-                rest_tuple = tuple(t for t, k in rest.items() for _ in range(k))
-                for tail_word in words_for_multiset(rest_tuple, cmp):
+            rem = counts.copy()
+            rem[i] -= 1
+            rem[j] -= 1
+            # how many of each remaining letter at least z joins the symmetric part
+            picks = [range(k + 1) if k and cmp(t, z) >= 0 else (0,)
+                     for t, k in zip(letters, rem)]
+            for pick in itertools.product(*picks):
+                blk = block(tuple(t for t, k in zip(letters, pick) for _ in range(k)), y, z)
+                rest = tuple(t for t, k, p in zip(letters, rem, pick) for _ in range(k - p))
+                for tail_word in _words(rest, cmp):
                     out.append(osbb_word((blk,) + tail_word.blocks, tail_word.tail))
     return tuple(out)
 
@@ -85,8 +105,12 @@ def _component(ms, cmp):
             "OSBB component is not square: %d words vs %d orderings for %r"
             % (len(words), len(perms), ms))
     index = {w: i for i, w in enumerate(perms)}
-    return words, index, linalg.invert(
-        [{index[w]: c for w, c in expand(ow).items()} for ow in words])
+    cols, scales = [], []
+    for ow in words:
+        terms, k = _expansion(ow)
+        cols.append({index[w]: c for w, c in terms.items()})
+        scales.append(k)
+    return words, index, linalg.invert(cols, scales)
 
 
 def decompose(x, cmp):

@@ -2,15 +2,20 @@
 and letter conservation."""
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from lemmas import assert_exact_coefficients
+from plyalg.bases import cmp_t, enumerate_T
 from plyalg.linalg import SingularSolveError, invert, rank
 from plyalg.orders import cmp_shat
-from plyalg.osbb import _component, decompose, expand, expand_lincomb, words_for_multiset
-from plyalg.terms import Alphabet, LinComb, block, osbb_word
+from plyalg.osbb import (_component, _expansion, decompose, expand, expand_lincomb,
+                         words_for_multiset)
+from plyalg.tensor import symmetrize, tensor_mul
+from plyalg.terms import Alphabet, LinComb, block, brk, canon_key, osbb_word
 
 A = Alphabet.of_size(3)
 a, b, c = A.gens
@@ -100,6 +105,85 @@ def test_components_square():
             n_words = len(words_for_multiset(ms, cmp_shat))
             n_perms = len(set(itertools.permutations(ms)))
             assert n_words == n_perms, ms
+
+
+# Oracles for the expansion and the enumeration, written another way:
+# products of symmetrized parts and pairs, and a ``Counter`` walk.
+def _expand_by_products(word):
+    """``expand`` as a product of combinations, from the tail leftwards."""
+    out = symmetrize(LinComb.of(word.tail))
+    for b in reversed(word.blocks):
+        pair = LinComb.of((b.y, b.z)) - LinComb.of((b.z, b.y))
+        out = tensor_mul(tensor_mul(symmetrize(LinComb.of(b.sym)), pair), out)
+    return out
+
+
+def _submultisets(counter):
+    items = sorted(counter, key=canon_key)
+    ranges = [range(counter[t] + 1) for t in items]
+    for picks in itertools.product(*ranges):
+        yield tuple(t for t, k in zip(items, picks) for _ in range(k))
+
+
+def _words_by_counter(ms, cmp):
+    """``words_for_multiset`` of a ``canon_key``-sorted tuple, by ``Counter``s."""
+    out = [osbb_word((), ms)]
+    cnt = Counter(ms)
+    for y in cnt:
+        for z in cnt:
+            if cmp(y, z) <= 0:
+                continue
+            rem = cnt.copy()
+            rem[y] -= 1
+            rem[z] -= 1
+            rem = +rem
+            eligible = Counter({t: k for t, k in rem.items() if cmp(t, z) >= 0})
+            for sym in _submultisets(eligible):
+                rest = rem.copy()
+                rest.subtract(Counter(sym))
+                rest = tuple(t for t, k in rest.items() for _ in range(k))
+                for tail_word in _words_by_counter(rest, cmp):
+                    out.append(osbb_word((block(sym, y, z),) + tail_word.blocks,
+                                         tail_word.tail))
+    return out
+
+
+def _multisets(letters, max_len=6):
+    """Every multiset of 0 to ``max_len`` letters, as a ``canon_key``-sorted tuple."""
+    letters = sorted(letters, key=canon_key)
+    return [ms for n in range(max_len + 1)
+            for ms in itertools.combinations_with_replacement(letters, n)]
+
+
+# generators and a bracket, over 0-6 letters with repeats
+ORACLE_LETTERS = (a, b, c, brk(b, a))
+
+
+def test_expansion_matches_products():
+    n = 0
+    for ms in _multisets(ORACLE_LETTERS):
+        for w in words_for_multiset(ms, cmp_shat):
+            want = _expand_by_products(w)
+            got = expand(w)
+            assert got == want, w
+            assert_exact_coefficients(got)
+            terms, k = _expansion(w)
+            assert {t: Fraction(x, k) for t, x in terms.items()} == want, w
+            n += 1
+    assert n == sum(4 ** i for i in range(7))
+
+
+# triple-basis letters a, bk(b, a), sg(a; b), sg(b; a): ``cmp_t`` puts the
+# two grafts in the order opposite to ``canon_key``'s
+T_LETTERS = enumerate_T(1, Alphabet.of_size(2))[:1] + tuple(
+    enumerate_T(2, Alphabet.of_size(2))[i] for i in (2, 5, 6))
+
+
+@pytest.mark.parametrize("cmp, letters", [(cmp_shat, ORACLE_LETTERS), (cmp_t, T_LETTERS)],
+                         ids=["cmp_shat", "cmp_t"])
+def test_words_match_counter_enumeration(cmp, letters):
+    for ms in _multisets(letters):
+        assert list(words_for_multiset(ms, cmp)) == _words_by_counter(ms, cmp), ms
 
 
 # The oracle's elimination: dense, row by row, and sharing no code with
@@ -195,8 +279,16 @@ def _columns(inv, n):
 
 
 def _sparse(rows):
-    """A dense matrix's columns as ``invert`` takes them: row -> nonzero entry."""
-    return [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows))]
+    """A dense rational matrix as ``invert`` takes it: its columns, each
+    scaled by the lcm of its denominators into integers (row -> nonzero
+    entry), and those lcms."""
+    cols, scales = [], []
+    for j in range(len(rows)):
+        d = lcm(*(row[j].denominator for row in rows))
+        cols.append({i: row[j].numerator * (d // row[j].denominator)
+                     for i, row in enumerate(rows) if row[j]})
+        scales.append(d)
+    return cols, scales
 
 
 def _dense_columns(inv):
@@ -253,23 +345,45 @@ def test_six_distinct_letters():
 
 def test_linalg_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = invert(_sparse(m))
+    inv = invert(*_sparse(m))
     assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
     assert all(type(x) is int for j in range(2) for _, x in inv.column(j))
     # read again, from the column cache once every column is solved
     assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
-    inv = invert(_sparse([[Fraction(0), Fraction(1, 3)], [Fraction(2), Fraction(0)]]))
+    inv = invert(*_sparse([[Fraction(0), Fraction(1, 3)], [Fraction(2), Fraction(0)]]))
     assert _columns(inv, 2) == [((1, 3),), ((0, Fraction(1, 2)),)]
-    assert _dense_inverse([]) == [] and _columns(invert([]), 0) == []
+    assert _dense_inverse([]) == [] and _columns(invert([], []), 0) == []
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     for singular, r in (([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 1),
                         ([[Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)]], 1),
                         ([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]], 1),
                         ([[Fraction(0)]], 0)):
         with pytest.raises(SingularSolveError, match=r"\(rank %d of %d\)" % (r, len(singular))):
-            invert(_sparse(singular))
+            invert(*_sparse(singular))
         with pytest.raises(SingularSolveError):
             _dense_inverse(singular)
+
+
+@pytest.mark.parametrize("counts", [(3, 1), (1, 1, 1, 1)], ids=["a3b", "abcd"])
+def test_invert_takes_component_scales(counts):
+    # the columns and scales as ``_component`` builds them: each word's
+    # ``_expansion`` and its ``k``, not an lcm of the rational entries
+    gens = Alphabet.of_size(len(counts)).gens
+    ms = tuple(g for g, k in zip(gens, counts) for _ in range(k))
+    words, index, _ = _component(ms, cmp_shat)
+    n = len(words)
+    cols, scales, mat = [], [], [[0] * n for _ in range(n)]
+    for j, ow in enumerate(words):
+        terms, k = _expansion(ow)
+        cols.append({index[w]: x for w, x in terms.items()})
+        scales.append(k)
+        for w, x in terms.items():
+            mat[index[w]][j] = Fraction(x, k)
+    want = _dense_columns(_dense_inverse(mat))
+    assert _columns(invert(cols, scales), n) == want
+    # any common multiple scales a column as well as the least one
+    wide = [{i: (j + 2) * x for i, x in col.items()} for j, col in enumerate(cols)]
+    assert _columns(invert(wide, [(j + 2) * k for j, k in enumerate(scales)]), n) == want
 
 
 def _gauss_jordan(m):
@@ -312,12 +426,12 @@ def test_linalg_matches_gauss_jordan():
             assert rank(mat) == r
             if ref is None:
                 with pytest.raises(SingularSolveError, match=r"\(rank %d of %d\)" % (r, n)):
-                    invert(_sparse(mat))
+                    invert(*_sparse(mat))
                 with pytest.raises(SingularSolveError):
                     _dense_inverse(mat)
                 continue
             assert _dense_inverse(mat) == ref
-            cols = _columns(invert(_sparse(mat)), n)
+            cols = _columns(invert(*_sparse(mat)), n)
             assert cols == _dense_columns(ref)
             assert all(type(x) is (int if x.denominator == 1 else Fraction)
                        for col in cols for _, x in col)
@@ -339,7 +453,7 @@ def test_linalg_rank_deficient():
         assert r <= k and rank(m) == r
         if n_rows == n_cols and r < n_rows:
             with pytest.raises(SingularSolveError, match=r"\(rank %d of %d\)" % (r, n_rows)):
-                invert(_sparse(m))
+                invert(*_sparse(m))
     assert rank([[Fraction(0)] * 3] * 2) == 0
 
 
