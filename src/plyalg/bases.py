@@ -80,8 +80,7 @@ _PHI, _PHI_INV = {}, {}
 
 @memo(_PHI)
 def phi(s):
-    """Basis bijection: block-basis element -> triple-basis element. Fills
-    the table of ``phi_inv`` too."""
+    """Basis bijection: block-basis element -> triple-basis element."""
     if s.kind == GEN:
         t = s
     elif s.kind == BRK:
@@ -97,14 +96,12 @@ def phi(s):
             t = triple(tuple(phi(x) for x in b0.sym), phi(b0.y), phi(b0.z), inner)
     else:
         raise BasisError("phi expects a block-basis term, got %r" % s)
-    _PHI_INV[t] = s
     return t
 
 
 @memo(_PHI_INV)
 def phi_inv(t):
-    """Inverse of ``phi``: triple-basis element -> block-basis element. Fills
-    the table of ``phi`` too."""
+    """Inverse of ``phi``: triple-basis element -> block-basis element."""
     if t.kind == GEN:
         s = t
     elif t.kind == BRK:
@@ -120,7 +117,6 @@ def phi_inv(t):
             s = ograft(osbb_word((b0,), ()), w)
     else:
         raise BasisError("phi_inv expects a triple-basis term, got %r" % t)
-    _PHI[s] = t
     return s
 
 

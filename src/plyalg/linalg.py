@@ -3,10 +3,10 @@ integer matrix, sparse and in a fill-reducing (Markowitz) order,
 ``_eliminate``. It serves both ``rank``, for the spanning-rank oracles,
 which brings its rational rows to integers first, and ``invert``, for OSBB
 decomposition, which takes a rational matrix as integer columns and their
-scales and solves its inverse one column at a time, in integers, with one
-``Fraction`` built per entry at the end. The 120×120 OSBB component
-factors in about 5 ms and a column takes about 0.3 ms (Python 3.11.7 on a
-2-vCPU VM).
+scales, factors it once and returns a solver of its inverse's columns,
+each solved in integers with one ``Fraction`` built per entry at the end;
+it caches nothing. The 120×120 OSBB component factors in about 5 ms and
+a column takes about 0.3 ms (Python 3.11.7 on a 2-vCPU VM).
 """
 from __future__ import annotations
 
@@ -97,43 +97,18 @@ def invert(cols, scales):
     """Factor the square rational matrix ``M = A*D^-1`` once by
     ``_eliminate``, given as the ``n`` columns of the integer matrix ``A``
     (each a dict, row -> nonzero ``int``) and the ``n`` positive integers of
-    the diagonal ``D`` (``scales``); its inverse ``D*A^-1`` is read one
-    column at a time from the returned ``Inverse``. Raises
-    SingularSolveError if ``M`` is singular.
+    the diagonal ``D`` (``scales``); returns the solver ``column``, which
+    keeps the factors. Raises SingularSolveError if ``M`` is singular.
     """
     n = len(cols)
     steps, d = _eliminate(cols, n)
     if len(steps) < n:
         raise SingularSolveError("matrix is singular (rank %d of %d)" % (len(steps), n))
-    return Inverse(steps, scales, d)
 
-
-class Inverse:
-    """The inverse of a matrix factored by ``invert``, solved one column at
-    a time and cached per column; the factors are dropped once every
-    column is solved."""
-    __slots__ = ("_lu", "_cols", "_left")
-
-    def __init__(self, steps, scales, d):
-        self._lu = (steps, scales, d)
-        self._cols = [None] * len(scales)
-        self._left = len(scales)
-
-    def column(self, j):
-        """Column ``j`` as an iterator over ``(i, coeff)``, one pair per
-        nonzero entry by increasing ``i``; an integral coefficient is an
-        ``int``."""
-        col = self._cols[j]
-        if col is None:
-            col = self._cols[j] = self._solve(j)
-            self._left -= 1
-            if not self._left:
-                self._lu = None
-        it = iter(col)
-        return zip(it, it)
-
-    def _solve(self, j):
-        """Column ``j`` of ``M^-1 = D*A^-1`` as a flat tuple ``(i, coeff, ...)``.
+    def column(j):
+        """Column ``j`` of ``M^-1 = D*A^-1`` as a list of ``(i, coeff)``,
+        one pair per nonzero entry by increasing ``i``; an integral
+        coefficient is an ``int``.
 
         Replaying the steps' updates on ``b = e_j`` carries the column that
         eliminating ``[A | e_j]`` would, so its divisions are exact.
@@ -142,8 +117,7 @@ class Inverse:
         integers, so its division by ``p`` is exact. Entry ``i`` is then
         ``D[i]*y[i]/d``, the one division that may leave the integers.
         """
-        steps, scales, d = self._lu
-        b = [0] * len(scales)
+        b = [0] * n
         b[j] = 1
         prev = 1
         for r, _, q, p, ops, _, _ in steps:
@@ -154,7 +128,7 @@ class Inverse:
             for s, f, q_s in zip(it, it, it):
                 b[s] = (b[s] * p - f * bp) // q_s
             prev = p
-        y = [0] * len(scales)
+        y = [0] * n
         for r, c, _, p, _, ucols, uvals in reversed(steps):
             y[c] = (d * b[r] - sum(map(mul, uvals, map(y.__getitem__, ucols)))) // p
         col = []
@@ -162,5 +136,7 @@ class Inverse:
             if v:
                 v *= scales[i]
                 k, rem = divmod(v, d)
-                col += (i, Fraction(v, d) if rem else k)
-        return tuple(col)
+                col.append((i, Fraction(v, d) if rem else k))
+        return col
+
+    return column

@@ -1,9 +1,15 @@
 """Basis enumeration counts, conversions, the automorphism and its
 triangularity, and the structural lemmas about products in the block basis."""
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import plyalg
 from plyalg.bases import (BasisError, alpha_count, beta_count, enumerate_Bhat,
                           enumerate_S, enumerate_Shat, enumerate_T,
                           from_shat, phi, phi_inv, phi_lin, shat_elem_to_t,
@@ -96,6 +102,43 @@ def test_phi_bijection_and_inverse():
         for s, t in zip(shat, ts):
             assert phi(s) is t
             assert phi_inv(t) is s
+
+
+_PHI_INV_FIRST = """
+    from plyalg import bases
+    from plyalg.bases import enumerate_T, phi, phi_inv
+    from plyalg.terms import Alphabet, block, brk, ograft, osbb_word, symgraft, triple
+
+    A = Alphabet.of_size(2)
+    a, b = A.gens
+    lb = block((), b, a)
+    sa = ograft(osbb_word((), (a,)), b)
+    # each triple-basis term, built by the constructors, with its block term
+    pairs = [
+        (symgraft((a, b), a), ograft(osbb_word((), (a, b)), a)),
+        (triple((), b, a, a), ograft(osbb_word((lb,), ()), a)),
+        (triple((a,), b, a, b), ograft(osbb_word((block((a,), b, a),), ()), b)),
+        (triple((), b, a, symgraft((b,), a)), ograft(osbb_word((lb,), (b,)), a)),
+        (triple((), b, a, triple((), b, a, a)), ograft(osbb_word((lb, lb), ()), a)),
+        (brk(triple((), b, a, a), b), brk(ograft(osbb_word((lb,), ()), a), b)),
+        (triple((), symgraft((a,), b), a, b), ograft(osbb_word((block((), sa, a),), ()), b)),
+    ]
+    assert not bases._PHI and not bases._PHI_INV
+    assert [phi_inv(t) for t, _ in pairs] == [s for _, s in pairs]
+    assert not bases._PHI
+    assert [phi(s) for _, s in pairs] == [t for t, _ in pairs]
+    basis = {t for n in range(1, 6) for t in enumerate_T(n, A)}
+    assert all(t in basis for t, _ in pairs)
+"""
+
+
+def test_phi_inv_before_any_phi():
+    # a fresh process, so no call of phi has filled a table and phi_inv
+    # computes every term by its own body
+    env = dict(os.environ, PYTHONPATH=str(Path(plyalg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(_PHI_INV_FIRST)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_phi_triangularity():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from plyalg import bases, hall, normal
+from plyalg import bases, hall, normal, osbb
 from plyalg.bases import (any_to_t, cmp_hall_t, enumerate_Bhat, enumerate_Shat, enumerate_T,
                           shat_to_t, t_value, to_shat)
 from plyalg.cli import main
@@ -607,13 +607,14 @@ def test_no_integral_fraction_in_pipeline():
         assert_exact_coefficients(out)
         for step in trace.steps:
             assert_exact_coefficients(step.after)
-    for table in (normal._BH2T, normal._TMUL, normal._E2, normal._E3, bases._S2T):
-        assert table
-        for v in table.values():
-            assert_exact_coefficients(v)
     letters = Alphabet.of_size(4).gens
     for w in itertools.permutations(letters + letters[:1]):
         assert_exact_coefficients(decompose(LinComb.of(w), cmp_shat))
+    for table in (normal._BH2T, normal._TMUL, normal._E2, normal._E3, bases._S2T,
+                  osbb._DECOMPOSED):
+        assert table
+        for v in table.values():
+            assert_exact_coefficients(v)
     u, v = hall.leaf(A2.gens[0]), hall.leaf(A2.gens[1])
     nodes = [hall.node3(*p) for p in itertools.product((u, v), repeat=3)]
     nodes += [hall.node3(p, q, r) for p, q, r in itertools.product(nodes[:4], (u, v), (u, v))]

@@ -9,6 +9,7 @@ from math import lcm
 import pytest
 
 from lemmas import assert_exact_coefficients
+from plyalg import osbb
 from plyalg.bases import cmp_t, enumerate_T
 from plyalg.linalg import SingularSolveError, invert, rank
 from plyalg.orders import cmp_shat
@@ -274,8 +275,9 @@ def _dense_inverse(rows):
     return [[Fraction(v, d) for v in row] for row in y]
 
 
-def _columns(inv, n):
-    return [tuple(inv.column(j)) for j in range(n)]
+def _columns(column, n):
+    """Every column that ``invert``'s solver gives, as tuples of pairs."""
+    return [tuple(column(j)) for j in range(n)]
 
 
 def _sparse(rows):
@@ -304,13 +306,13 @@ OSBB_PATTERNS = ((1, 1, 1), (2, 1),
 
 
 def _component_columns_match_oracle(ms):
-    words, index, inv = _component(ms, cmp_shat)
+    words, index, column = _component(ms, cmp_shat)
     n = len(words)
     mat = [[0] * n for _ in range(n)]
     for j, ow in enumerate(words):
         for w, c in expand(ow).items():
             mat[index[w]][j] = c
-    return _columns(inv, n) == _dense_columns(_dense_inverse(mat))
+    return _columns(column, n) == _dense_columns(_dense_inverse(mat))
 
 
 @pytest.mark.parametrize("pattern", OSBB_PATTERNS)
@@ -331,6 +333,23 @@ def test_roundtrip_grid_columns_match_dense_oracle(gens):
             assert _component_columns_match_oracle(ms), ms
 
 
+def test_decompose_memo_not_mutated():
+    # a word's combination is shared by ``_DECOMPOSED`` and every later
+    # decompose of that word: no caller that writes into its result may
+    # reach it
+    words = list(dict.fromkeys(itertools.permutations((a, b, c, a))))
+    first = [decompose(olc(*w), cmp_shat) for w in words]
+    want = [list(x.items()) for x in first]
+    saved = [(v, list(v.items())) for v in osbb._DECOMPOSED.values()]
+    for x in first:
+        x.add_in(x, 2)
+        x.pop(next(iter(x)))
+        x[osbb_word((), (a,))] = 5
+    assert [list(decompose(olc(*w), cmp_shat).items()) for w in words] == want
+    for v, items in saved:
+        assert list(v.items()) == items
+
+
 def test_six_distinct_letters():
     # one 720x720 component
     a_, b_, c_, d_, e_, f_ = Alphabet.of_size(6).gens
@@ -345,13 +364,13 @@ def test_six_distinct_letters():
 
 def test_linalg_helpers():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
-    inv = invert(*_sparse(m))
-    assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
-    assert all(type(x) is int for j in range(2) for _, x in inv.column(j))
-    # read again, from the column cache once every column is solved
-    assert _columns(inv, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
-    inv = invert(*_sparse([[Fraction(0), Fraction(1, 3)], [Fraction(2), Fraction(0)]]))
-    assert _columns(inv, 2) == [((1, 3),), ((0, Fraction(1, 2)),)]
+    column = invert(*_sparse(m))
+    assert _columns(column, 2) == [((0, 1), (1, -1)), ((0, -1), (1, 2))]
+    assert all(type(x) is int for j in range(2) for _, x in column(j))
+    # solved again from the factors the solver keeps, in any order
+    assert [tuple(column(j)) for j in (1, 0)] == [((0, -1), (1, 2)), ((0, 1), (1, -1))]
+    column = invert(*_sparse([[Fraction(0), Fraction(1, 3)], [Fraction(2), Fraction(0)]]))
+    assert _columns(column, 2) == [((1, 3),), ((0, Fraction(1, 2)),)]
     assert _dense_inverse([]) == [] and _columns(invert([], []), 0) == []
     assert rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     for singular, r in (([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], 1),
