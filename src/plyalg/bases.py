@@ -17,7 +17,7 @@ from . import osbb
 from .orders import cmp_ints, cmp_shat, shat_key, sort_by
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, block,
                     brk, canon_key, graft, memo, multilinear, ograft, osbb_word,
-                    subterms, symgraft, triple)
+                    symgraft, triple)
 from .tensor import (graft_words, orderings, symmetrize, tree_brk,
                      triple_bracket, word_act_trees, word_lincomb)
 
@@ -237,49 +237,42 @@ def shat_to_t(x):
     return x.map_terms(shat_elem_to_t)
 
 
-_FAMILY = {GRAFT: "bhat", OGRAFT: "shat", SYMGRAFT: "t", TRIPLE: "t"}
-_BASIS = {}
-
-
-@memo(_BASIS)
-def term_basis(t):
-    """Which basis family a term belongs to, by its node kinds."""
-    families = {_FAMILY.get(t.kind, "plain")}
-    families.update(term_basis(c) for _, c in subterms(t))
-    families.discard("plain")
-    if len(families) > 1:
-        raise BasisError("term mixes basis families: %r" % t)
-    return families.pop() if families else "plain"
-
-
 def any_to_t(x):
-    """Triple-basis coordinates of a combination given in any basis. The
+    """Triple-basis coordinates of a combination given in any basis, node by
+    node. The bracket is bilinear in every basis, so it may join two; any
+    other node must be of its subterms' basis, else ``BasisError``. The
     rewrite reaches it through ``normal._to_t``, which caches it per term."""
     if not isinstance(x, LinComb):
         x = LinComb.of(x)
 
     def conv(t):
-        b = term_basis(t)
-        if b == "t":
-            return LinComb.of(t)
-        if b == "shat":
+        if t.kind == BRK:
+            return tree_brk(conv(t.x), conv(t.y))
+        if t.kind == GRAFT:
+            return to_shat_term(t).map_terms(shat_elem_to_t)
+        if t.kind == OGRAFT:
             return shat_elem_to_t(t)
-        return to_shat_term(t).map_terms(shat_elem_to_t)
+        phi_inv(t)  # checks a generator or triple-basis node
+        return LinComb.of(t)
 
     return x.map_terms(conv)
 
 
 def any_to_bhat(x):
-    """Tree-basis value of a combination given in any basis."""
+    """Tree-basis value of a combination given in any basis, node by node,
+    under ``any_to_t``'s rule on mixed bases."""
     if not isinstance(x, LinComb):
         x = LinComb.of(x)
 
     def conv(t):
-        b = term_basis(t)
-        if b == "t":
-            return t_value(t)
-        if b == "shat":
+        if t.kind == BRK:
+            return tree_brk(conv(t.x), conv(t.y))
+        if t.kind == OGRAFT:
             return from_shat_term(t)
+        if t.kind in (SYMGRAFT, TRIPLE):
+            return t_value(t)
+        if t.kind == GRAFT:
+            to_shat_term(t)  # checks it
         return LinComb.of(t)
 
     return x.map_terms(conv)

@@ -31,10 +31,11 @@ from .tensor import (graft_words, letters_to_words, lie_word, symmetrize,
                      words_to_letters)
 
 # Most calls that may be open at once. The reader takes 3 frames per open
-# call and the engine up to 5 per level of the term it converts, against the
-# default recursion limit of 1000. With no limit, called from 150 frames
-# deep on CPython 3.10, `gr(gr(...; a); a)` normalizes up to depth 167 and
-# `bk(a, bk(a, ...))` up to 209.
+# call and the engine up to 4 per level of the term (`orders.shat_key`, its
+# memo wrapper and `delta_key`), against the default recursion limit of
+# 1000. With no limit, called from 150 frames deep on CPython 3.10,
+# `gr(gr(...; a); a)` normalizes and renders up to depth 168, and
+# `bk(a, bk(a, ...))` up to 279, where the reader's own frames run out.
 MAX_NESTING = 150
 
 

@@ -147,8 +147,9 @@ _BH2T = {}
 
 @memo(_BH2T)
 def _to_t(t):
-    """``t``, of any basis, in triple-basis coordinates with its brackets
-    oriented: the one route into them, for ``_start`` and the products."""
+    """``t``, of any basis or a bracket joining two, in triple-basis
+    coordinates (``any_to_t``, node by node) with its brackets oriented: the
+    one route into them, for ``_start`` and the products."""
     return any_to_t(t).map_terms(_orient)
 
 

@@ -44,8 +44,8 @@ def memo(table):
     of its arguments when it takes several. The function must not return
     None; a cached False or empty combination is a hit."""
     def wrap(f):
-        # the one-argument wrapper skips packing the arguments: about half
-        # the cost of a hit, and the hot maps (is_B, order keys) take one
+        # the one-argument wrapper keys by the argument itself: the hot maps
+        # (is_B, order keys) take one, and a 1-tuple per entry costs memory
         if f.__code__.co_argcount == 1:
             def cached(x):
                 v = table.get(x)

@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 import plyalg
-from plyalg.bases import (BasisError, alpha_count, beta_count, enumerate_Bhat,
-                          enumerate_S, enumerate_Shat, enumerate_T,
+from plyalg.bases import (BasisError, alpha_count, any_to_bhat, any_to_t, beta_count,
+                          enumerate_Bhat, enumerate_S, enumerate_Shat, enumerate_T,
                           from_shat, phi, phi_inv, phi_lin, shat_elem_to_t,
                           shat_to_t, t_value, t_value_lin, to_shat)
 from plyalg.orders import cmp_shat
-from plyalg.terms import (SYMGRAFT, TRIPLE, Alphabet, LinComb, graft, ograft,
+from plyalg.tensor import tree_brk
+from plyalg.terms import (SYMGRAFT, TRIPLE, Alphabet, LinComb, brk, graft, ograft,
                           osbb_word, symgraft, triple)
 
 A1 = Alphabet.of_size(1)
@@ -211,6 +212,36 @@ def test_shat_elem_to_t_matches_triangular_solve():
 def test_shat_elem_to_t_rejects_other_bases(t):
     with pytest.raises(BasisError):
         shat_elem_to_t(t)
+
+
+def test_any_basis_maps_on_block_basis():
+    # a block-basis element converts as its own basis's maps convert it
+    for n in range(1, 5):
+        for s in enumerate_Shat(n, A2):
+            assert any_to_bhat(s) == from_shat(s), s
+            assert any_to_t(s) == shat_elem_to_t(s), s
+
+
+def test_any_basis_maps_on_bracket_of_two_bases():
+    # the bracket is bilinear in every basis, so it may join two of them
+    x, y = A2.gens
+    u, v = graft((x,), y), triple((), y, x, x)
+    for f in (any_to_bhat, any_to_t):
+        assert f(brk(u, v)) == tree_brk(f(u), f(v)) != LinComb()
+
+
+_x, _y = A2.gens
+
+
+@pytest.mark.parametrize("t", [triple((), _y, _x, graft((_x,), _y)),
+                               graft((triple((), _y, _x, _x),), _x),
+                               symgraft((graft((_x,), _y),), _x),
+                               ograft(osbb_word((), (graft((_x,), _y),)), _x)],
+                         ids=["triple", "graft", "symgraft", "ograft"])
+def test_any_basis_maps_reject_foreign_subterm(t):
+    for f in (any_to_bhat, any_to_t):
+        with pytest.raises(BasisError):
+            f(t)
 
 
 # -- structural lemmas over the block basis -------------------------------------

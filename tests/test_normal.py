@@ -409,17 +409,28 @@ def test_t_mul_matches_round_trip():
             assert normal.t_mul(x, y) == want, (x, y)
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
-    "exprs.MAX_NESTING guards text only: a term built through the terms "
-    "constructors recurses a few Python frames per level of the term, so a "
-    "deep one exceeds the interpreter's recursion limit: from 248 levels on "
-    "3.10 and 3.11, from 331 on 3.12"))
 def test_deep_library_term_normalizes():
+    # exprs.MAX_NESTING guards text only; this chain converts in 1 frame a
+    # level and orients in 2, and vanishes before is_B sees it
     t = a
     for _ in range(400):
         t = brk(a, t)
     # the innermost [[a,a]] is 0, so the whole chain is
     assert normalize(LinComb.of(t))[0] == LinComb()
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError, reason=(
+    "a chain that does not vanish reaches is_B, which recurses three Python "
+    "frames per level (memo's wrapper, is_B and its generator), so a cold "
+    "chain exceeds the interpreter's recursion limit from 249 levels on 3.10 "
+    "and 3.11, from 332 on 3.12 and 3.13"))
+def test_deep_alternating_library_term_normalizes():
+    x, y = A2.gens
+    t = y
+    for i in range(400):
+        t = brk((x, y)[i % 2], t)
+    # innermost [a,b], then [b,[a,b]], ...: no bracket of equal parts
+    assert normalize(LinComb.of(t))[0]
 
 
 def a_t():
