@@ -15,15 +15,11 @@ from __future__ import annotations
 import math
 from . import osbb
 from .orders import cmp_ints, cmp_shat, shat_key, sort_by
-from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, block,
-                    brk, canon_key, graft, memo, multilinear, ograft, osbb_word,
-                    symgraft, triple)
+from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, BasisError, LinComb,
+                    block, brk, canon_key, graft, memo, multilinear, ograft,
+                    osbb_word, symgraft, triple)
 from .tensor import (graft_words, orderings, symmetrize, tree_brk,
                      triple_bracket, word_act_trees, word_lincomb)
-
-
-class BasisError(AssertionError):
-    pass
 
 
 # -- tree basis <-> symmetric-block basis -------------------------------------

@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 
-from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, LinComb, OsbbWord,
-                    Term, canon_key)
+from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, BasisError, LinComb,
+                    OsbbWord, Term, canon_key)
 from .tensor import (graft_words, letters_to_words, lie_word, symmetrize,
                      tensor_mul, tree_brk, triangle, triple_bracket, unit,
                      words_to_letters)
@@ -247,14 +247,23 @@ def parse_tensor(text, alphabet):
 
 # -- printing ---------------------------------------------------------------------
 
+def _sorted_desc(items, key):
+    """``items`` by descending ``key``, a basis's order; as they are stored
+    when one is of another basis, so a term of mixed bases renders too."""
+    try:
+        return sorted(items, key=key, reverse=True)
+    except BasisError:
+        return items
+
+
 def _sorted_desc_t(items):
     from .bases import t_key
-    return sorted(items, key=t_key, reverse=True)
+    return _sorted_desc(items, t_key)
 
 
 def _sorted_desc_s(items):
     from .orders import shat_key
-    return sorted(items, key=shat_key, reverse=True)
+    return _sorted_desc(items, shat_key)
 
 
 def render_term(t):

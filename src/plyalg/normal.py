@@ -18,8 +18,9 @@ way back up puts in place of its child (``subst``). The rules:
 The target basis is the set of terms on which no rule matches, so the rules
 are stated once, in ``_match``: each as its name, its bindings and its
 expander, and its image is the expander applied to the bindings' values.
-The symmetric expansions of PLY2 and PLY3 are memoized per (sym, head)
-through ``terms.memo``, like every other cache here.
+The symmetric expansions of PLY2 and PLY3 share one letter action, ``_act``,
+and are memoized per (sym, head) through ``terms.memo``, like every other
+cache here. A derivation is a sum of ``subst`` over a node's children.
 
 Brackets are born oriented: ``_brk`` builds [[u,v]] as PLY1's image, the
 rules build their brackets through it, and a rewrite starts from its input
@@ -224,21 +225,45 @@ def _orient(t):
 
 # -- rule expanders ---------------------------------------------------------------
 
-def _sym_expander(table, act, head):
+def _derive(d, t):
+    """A derivation ``d`` (term -> combination) on ``t``: the sum over its
+    children of ``t`` with that child replaced by its image under ``d``."""
+    out = LinComb()
+    for slot, child in subterms(t):
+        out.add_in(subst(t, slot, d(child)))
+    return out
+
+
+def _act(s, t):
+    """A letter ``s`` acting on a term: on a bracket the derivation
+    s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]], on a bare triple
+    s ▷ [y,z,w] = [s▷y,z,w] + [y,s▷z,w] + [y,z,s▷w]
+                  + (s · [[y,z]]) ▷ w − [[y,z]] ▷ (s ▷ w),
+    and on any other term the product s ▷ t."""
+    if not (t.kind == BRK or t.kind == TRIPLE and not t.sym):
+        return t_mul(s, t)
+    out = _derive(lambda x: t_mul(s, x), t)
+    if t.kind == TRIPLE:
+        out += t_word_action(LinComb.of((s, brk(t.y, t.z))), _of(t.w))
+        out -= t_mul_lin(_of(brk(t.y, t.z)), t_mul(s, t.w))
+    return out
+
+
+def _sym_expander(table, head):
     """The expander s(sym) ▷ head(*parts) modulo the ideal (Guin–Oudom),
     memoized in ``table`` by (sym, head) with ``sym`` sorted as a term stores
     it: s(x·rest) ▷ h = x ▷ (s(rest) ▷ h) − Σ_j s(rest with x ▷ rest_j) ▷ h,
-    averaged over x. A letter acts on a term by ``act``."""
+    averaged over x. A letter acts on a term by ``_act``."""
     @memo(table)
     def expand(sym, h):
         if len(sym) == 1:
-            return act(sym[0], h)
+            return _act(sym[0], h)
         out = LinComb()
         f = Fraction(1, len(sym))
         for i, s in enumerate(sym):
             rest = sym[:i] + sym[i + 1:]
             for t, c in expand(rest, h).items():
-                out.add_in(act(s, t), c * f)
+                out.add_in(_act(s, t), c * f)
             for j in range(len(rest)):
                 for t2, c2 in t_mul(s, rest[j]).items():
                     word = tuple(sorted(rest[:j] + (t2,) + rest[j + 1:], key=canon_key))
@@ -247,40 +272,13 @@ def _sym_expander(table, act, head):
     return lambda sym, *parts: expand(sym, head(*parts))
 
 
-def _derive_brk(d, u, v):
-    """A derivation ``d`` (term -> combination) on a bracket:
-    d([[u,v]]) = [[d(u), v]] + [[u, d(v)]]."""
-    return _tree_brk(d(u), _of(v)) + _tree_brk(_of(u), d(v))
-
-
-def _ply2_act(s, t):
-    # s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]]
-    assert t.kind == BRK
-    return _derive_brk(lambda x: t_mul(s, x), t.x, t.y)
-
-
 _E2 = {}
 # s(sym) ▷ [[u,v]]: a combination of brackets
-_ply2_sym_step = _sym_expander(_E2, _ply2_act, brk)
-
-
-def _ply3_act(s, t):
-    # s ▷ [y,z,w] = [s▷y,z,w] + [y,s▷z,w] + [y,z,s▷w]
-    #               + (s · [[y,z]]) ▷ w − [[y,z]] ▷ (s ▷ w)
-    if t.kind != TRIPLE or t.sym:
-        return t_mul(s, t)
-    y, z, w = t.y, t.z, t.w
-    out = triple_raw(t_mul(s, y), _of(z), _of(w))
-    out += triple_raw(_of(y), t_mul(s, z), _of(w))
-    out += triple_raw(_of(y), _of(z), t_mul(s, w))
-    out += t_word_action(LinComb.of((s, brk(y, z))), _of(w))
-    out -= t_mul_lin(_of(brk(y, z)), t_mul(s, w))
-    return out
-
+_ply2_sym_step = _sym_expander(_E2, brk)
 
 _E3 = {}
 # s(sym) ▷ [y,z,w]: no symmetric part remains on any triple-bracket
-_ply3_step = _sym_expander(_E3, _ply3_act, lambda y, z, w: triple((), y, z, w))
+_ply3_step = _sym_expander(_E3, lambda y, z, w: triple((), y, z, w))
 
 
 def _cyc(t):
@@ -290,7 +288,7 @@ def _cyc(t):
 
 def _ply2_triple_step(y, z, u, v):
     # [y,z,[[u,v]]] = [[[y,z,u],v]] + [[u,[y,z,v]]]  (from PLY2)
-    return _derive_brk(lambda x: triple_of(y, z, x), u, v)
+    return _derive(lambda x: triple_of(y, z, x), brk(u, v))
 
 
 def _antisym_step(y, z, w):
@@ -340,26 +338,18 @@ def _ply5_mid_step(u, v, z, w):
 
 def subst(t, slot, image):
     """``t`` with its child at ``slot`` replaced by ``image``, a combination,
-    rebuilt one level up, multilinearly."""
+    rebuilt one level up, multilinearly: each child in ``subterms`` order
+    is ``image`` at ``slot`` and itself elsewhere."""
+    parts = [image if s == slot else _of(c) for s, c in subterms(t)]
     if t.kind == BRK:
-        if slot == "x":
-            return _tree_brk(image, _of(t.y))
-        return _tree_brk(_of(t.x), image)
+        return _tree_brk(*parts)
     if t.kind == SYMGRAFT:
-        if slot == "root":
-            def on_root(r):
-                assert r.kind in (GEN, BRK), "graft root rewrote to a non-root shape"
-                return _of(symgraft(t.sym, r))
-            return image.map_terms(on_root)
-        i = slot[1]
-        return image.map_terms(
-            lambda u: _of(symgraft(t.sym[:i] + (u,) + t.sym[i + 1:], t.root)))
+        def graft(*kids):
+            assert kids[-1].kind in (GEN, BRK), "graft root rewrote to a non-root shape"
+            return _of(symgraft(kids[:-1], kids[-1]))
+        return multilinear(graft, *parts)
     if t.kind == TRIPLE and not t.sym:  # a symmetric part makes a head redex
-        if slot == "y":
-            return triple_raw(image, _of(t.z), _of(t.w))
-        if slot == "z":
-            return triple_raw(_of(t.y), image, _of(t.w))
-        return image.map_terms(lambda u: _of(triple((), t.y, t.z, u)))
+        return triple_raw(*parts)
     raise InternalRewriteError("cannot substitute into %r" % t)
 
 

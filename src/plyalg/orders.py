@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from .terms import BRK, GEN, OGRAFT, memo
+from .terms import BRK, GEN, OGRAFT, BasisError, memo
 
 
 def cmp_ints(a, b):
@@ -53,7 +53,8 @@ def shat_key(x):
         return (x.vc, GEN, x.index)
     if x.kind == BRK:
         return (x.vc, BRK, shat_key(x.x), shat_key(x.y))
-    assert x.kind == OGRAFT, "shat_key got a non-symmetric-block term"
+    if x.kind != OGRAFT:
+        raise BasisError("shat_key expects a block-basis term")
     return (x.vc, OGRAFT, x.word.vc, delta_key(x.word, shat_key), shat_key(x.root))
 
 

@@ -39,6 +39,10 @@ from operator import mul
 GEN, BRK, GRAFT, OGRAFT, SYMGRAFT, TRIPLE = range(6)
 
 
+class BasisError(AssertionError):
+    """A map of one basis met a node of another."""
+
+
 def memo(table):
     """Cache a function in ``table``, keyed by its argument, or by the tuple
     of its arguments when it takes several. The function must not return

@@ -1,16 +1,21 @@
 """Shared property checks for the structural lemmas about products in the
 block basis (root preservation, word-length bounds, grading preservation),
-and for the storage of exact coefficients."""
+and for the storage of exact coefficients; and a reference statement of
+the normalizer's one-slot rebuild and letter actions, one branch per node
+kind and slot."""
 import random
 from fractions import Fraction
 
 from plyalg.bases import enumerate_Shat, from_shat, to_shat
+from plyalg.normal import (InternalRewriteError, _of, _tree_brk, t_mul, t_mul_lin,
+                           t_word_action, triple_raw)
 from plyalg.orders import cmp_shat
 from plyalg.osbb import expand, words_for_multiset
 from plyalg.tensor import (letters_to_words, lie_word, symmetrize, tensor_mul,
                            tree_mul, triple_bracket, word_act_trees,
                            word_lincomb)
-from plyalg.terms import OGRAFT, LinComb
+from plyalg.terms import (BRK, GEN, OGRAFT, SYMGRAFT, TRIPLE, LinComb, brk, symgraft,
+                          triple)
 
 
 def assert_exact_coefficients(x):
@@ -138,3 +143,54 @@ def check_symmetric_action_leading_term(alphabet, samples, seed, max_total=6):
             assert term.word.length < bound
         done += 1
     return done
+
+
+# -- reference one-slot rebuild and letter actions ----------------------------
+
+def subst_ref(t, slot, image):
+    """``normal.subst`` with one branch per node kind and slot."""
+    if t.kind == BRK:
+        if slot == "x":
+            return _tree_brk(image, _of(t.y))
+        return _tree_brk(_of(t.x), image)
+    if t.kind == SYMGRAFT:
+        if slot == "root":
+            def on_root(r):
+                assert r.kind in (GEN, BRK), "graft root rewrote to a non-root shape"
+                return _of(symgraft(t.sym, r))
+            return image.map_terms(on_root)
+        i = slot[1]
+        return image.map_terms(
+            lambda u: _of(symgraft(t.sym[:i] + (u,) + t.sym[i + 1:], t.root)))
+    if t.kind == TRIPLE and not t.sym:
+        if slot == "y":
+            return triple_raw(image, _of(t.z), _of(t.w))
+        if slot == "z":
+            return triple_raw(_of(t.y), image, _of(t.w))
+        return image.map_terms(lambda u: _of(triple((), t.y, t.z, u)))
+    raise InternalRewriteError("cannot substitute into %r" % t)
+
+
+def _derive_brk_ref(d, u, v):
+    return _tree_brk(d(u), _of(v)) + _tree_brk(_of(u), d(v))
+
+
+def ply2_act_ref(s, t):
+    """s ▷ [[u,v]] = [[s▷u, v]] + [[u, s▷v]]"""
+    assert t.kind == BRK
+    return _derive_brk_ref(lambda x: t_mul(s, x), t.x, t.y)
+
+
+def ply3_act_ref(s, t):
+    """s ▷ [y,z,w] = [s▷y,z,w] + [y,s▷z,w] + [y,z,s▷w]
+                     + (s · [[y,z]]) ▷ w − [[y,z]] ▷ (s ▷ w),
+    and s ▷ t on any term that is not a bare triple."""
+    if t.kind != TRIPLE or t.sym:
+        return t_mul(s, t)
+    y, z, w = t.y, t.z, t.w
+    out = triple_raw(t_mul(s, y), _of(z), _of(w))
+    out += triple_raw(_of(y), t_mul(s, z), _of(w))
+    out += triple_raw(_of(y), _of(z), t_mul(s, w))
+    out += t_word_action(LinComb.of((s, brk(y, z))), _of(w))
+    out -= t_mul_lin(_of(brk(y, z)), t_mul(s, w))
+    return out

@@ -236,9 +236,14 @@ _x, _y = A2.gens
 @pytest.mark.parametrize("t", [triple((), _y, _x, graft((_x,), _y)),
                                graft((triple((), _y, _x, _x),), _x),
                                symgraft((graft((_x,), _y),), _x),
-                               ograft(osbb_word((), (graft((_x,), _y),)), _x)],
-                         ids=["triple", "graft", "symgraft", "ograft"])
+                               ograft(osbb_word((), (graft((_x,), _y),)), _x),
+                               triple((), ograft(osbb_word((), (graft((_x,), _y),)), _x),
+                                      _x, _x)],
+                         ids=["triple", "graft", "symgraft", "ograft", "triple-ograft"])
 def test_any_basis_maps_reject_foreign_subterm(t):
+    # the term renders, its letters that no basis order sorts as stored, so
+    # the BasisError that names it or a subterm renders too
+    assert "gr(a; b)" in repr(t) or "tb(b, a, a)" in repr(t)
     for f in (any_to_bhat, any_to_t):
         with pytest.raises(BasisError):
             f(t)

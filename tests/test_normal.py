@@ -20,10 +20,11 @@ from plyalg.orders import cmp_gen, cmp_shat
 from plyalg.osbb import decompose
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
 from plyalg.tensor import tree_brk, tree_mul, triple_bracket
-from plyalg.terms import Alphabet, LinComb, brk, graft, has_bracket, symgraft, triple
+from plyalg.terms import (BRK, TRIPLE, Alphabet, LinComb, brk, graft, has_bracket,
+                          subterms, symgraft, triple)
 
 from fixtures import scan_normalize, seeded_pick
-from lemmas import assert_exact_coefficients
+from lemmas import assert_exact_coefficients, ply2_act_ref, ply3_act_ref, subst_ref
 
 A1 = Alphabet.of_size(1)
 A2 = Alphabet.of_size(2)
@@ -407,6 +408,32 @@ def test_t_mul_matches_round_trip():
         for x, y in pairs:
             want = shat_to_t(to_shat(tree_mul(t_value(x), t_value(y)))).map_terms(normal._orient)
             assert normal.t_mul(x, y) == want, (x, y)
+
+
+def test_subst_and_act_match_reference():
+    # the one-slot rebuild and the one letter action agree with their
+    # statement per node kind (lemmas): every slot of every bracket,
+    # symmetric graft and bare triple of T through grade 5 over one
+    # generator and 4 over two, with the image a ▷ child (a graft, so not
+    # at a root) and [[a ▷ child, a]], and every letter of grade at most 2
+    # acting on each of those terms
+    for alphabet, grade in ((A1, 5), (A2, 4)):
+        g = alphabet.gens[0]
+        letters = enumerate_T(1, alphabet) + enumerate_T(2, alphabet)
+        for n in range(2, grade + 1):
+            for t in enumerate_T(n, alphabet):
+                if t.kind == TRIPLE and t.sym:
+                    continue
+                for slot, child in subterms(t):
+                    image = normal.t_mul(g, child)
+                    images = [tree_brk(image, LinComb.of(g))]
+                    if slot != "root":
+                        images.append(image)
+                    for x in images:
+                        assert normal.subst(t, slot, x) == subst_ref(t, slot, x), (t, slot, x)
+                act = ply2_act_ref if t.kind == BRK else ply3_act_ref
+                for s in letters:
+                    assert normal._act(s, t) == act(s, t), (s, t)
 
 
 def test_deep_library_term_normalizes():
