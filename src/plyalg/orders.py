@@ -68,15 +68,3 @@ def cmp_shat(x, y):
 def sort_by(elems, key):
     return sorted(elems, key=key)
 
-
-def is_total_order(cmp, elems):
-    """Spot check: antisymmetry and totality on a finite element list."""
-    for a in elems:
-        if cmp(a, a) != 0:
-            return False
-        for b in elems:
-            if a is not b and cmp(a, b) != -cmp(b, a):
-                return False
-            if a is not b and cmp(a, b) == 0:
-                return False
-    return True

@@ -75,31 +75,32 @@ def triangle(u, v):
     Two single letters multiply by ``graft_product``. The empty word acts as
     the identity on the left; a nonempty word acting on the empty word gives 0.
     """
-    return multilinear(_tri_words, u, v)
+    return multilinear(lambda wu, wv: tri_words(wu, wv, graft_product), u, v)
 
 
-def _tri_words(wu, wv):
+def tri_words(wu, wv, prod):
+    """The word ``wu`` acting on the word ``wv``, letters multiplied by
+    ``prod`` (two letters -> a combination of letters)."""
     if not wu:
         return LinComb.of(wv)
     if not wv:
         return LinComb()
     if len(wu) == 1:
-        return _derive(wu[0], wv)
+        return _derive(wu[0], wv, prod)
     # (x · rest) ▷ v  =  x ▷ (rest ▷ v)  -  (x ▷ rest) ▷ v
     x, rest = wu[0], wu[1:]
-    out = _tri_words(rest, wv).map_terms(lambda w: _tri_words((x,), w))
-    deriv = _derive(x, rest)
-    for w, c in deriv.items():
-        out.add_in(_tri_words(w, wv), -c)
+    out = tri_words(rest, wv, prod).map_terms(lambda w: _derive(x, w, prod))
+    for w, c in _derive(x, rest, prod).items():
+        out.add_in(tri_words(w, wv, prod), -c)
     return out
 
 
-def _derive(x, w):
+def _derive(x, w, prod):
     """Single letter acting on a word as a derivation. No two of its words
     are equal: the one from letter i differs from the rest at i, where its
     letter has more vertices than ``w[i]``."""
     return LinComb((w[:i] + (t,) + w[i + 1:], c)
-                   for i, y in enumerate(w) for t, c in graft_product(x, y).items())
+                   for i, y in enumerate(w) for t, c in prod(x, y).items())
 
 
 # -- the free product on the planar-tree basis --------------------------------
@@ -116,7 +117,7 @@ def graft_product(x, y):
     # x ▷ (w ▷ r) = (x·w) ▷ r + (x ▷ w) ▷ r
     # the grafts are distinct, as their branch words are
     out = LinComb.of(graft((x,) + y.branches, y.root))
-    for w, c in _derive(x, y.branches).items():
+    for w, c in _derive(x, y.branches, graft_product).items():
         out[graft(w, y.root)] = c
     return out
 
@@ -150,7 +151,7 @@ def word_act_trees(w, v):
 def graft_words(words, roots):
     """A combination of nonempty words grafted onto a combination of
     generator and bracket roots. On such a root a word's action is its
-    planar graft: ``graft_product`` and ``_tri_words`` both follow
+    planar graft: ``graft_product`` and ``tri_words`` both follow
     G(x·w, r) = x ▷ G(w, r) − G(x ▷ w, r) from G(x, r) = x ▷ r, so this is
     ``word_act_trees(words, roots)`` without the recursion."""
     return multilinear(lambda w, r: LinComb.of(graft(w, r)), words, roots)

@@ -1,13 +1,18 @@
 """Shared property checks for the structural lemmas about products in the
 block basis (root preservation, word-length bounds, grading preservation),
-and for the storage of exact coefficients; and a reference statement of
-the normalizer's one-slot rebuild and letter actions, one branch per node
-kind and slot."""
+and for the storage of exact coefficients; a reference statement of the
+normalizer's one-slot rebuild and letter actions, one branch per node kind
+and slot; the route of products through trees, the oracle of the
+normalizer's products in triple coordinates; the spot check of a total
+order; and the Hall predicate on the triple basis through the ternary
+magma."""
 import random
 from fractions import Fraction
 
-from plyalg.bases import enumerate_Shat, from_shat, to_shat
-from plyalg.normal import (InternalRewriteError, _of, _tree_brk, t_mul, t_mul_lin,
+from plyalg import hall
+from plyalg.bases import (cmp_t, enumerate_Shat, from_shat, phi, t_value, t_value_lin,
+                          to_shat)
+from plyalg.normal import (InternalRewriteError, _of, _orient, _tree_brk, t_mul, t_mul_lin,
                            t_word_action, triple_raw)
 from plyalg.orders import cmp_shat
 from plyalg.osbb import expand, words_for_multiset
@@ -194,3 +199,63 @@ def ply3_act_ref(s, t):
     out += t_word_action(LinComb.of((s, brk(y, z))), _of(w))
     out -= t_mul_lin(_of(brk(y, z)), t_mul(s, w))
     return out
+
+
+# -- products through trees ---------------------------------------------------
+
+_SOLVED = {}
+
+
+def solve_to_t(s):
+    """The triangular solve for every block-basis element, memoized: phi(s)
+    re-expanded in block coordinates is s plus strictly smaller terms, whose
+    coordinates are solved first."""
+    out = _SOLVED.get(s)
+    if out is None:
+        t = phi(s)
+        delta = to_shat(t_value(t)) - LinComb.of(s)
+        out = LinComb.of(t)
+        for u, c in delta.items():
+            assert cmp_shat(u, s) < 0
+            out.add_in(solve_to_t(u), -c)
+        _SOLVED[s] = out
+    return out
+
+
+def tree_route(words, target):
+    """A combination of words of triple-basis letters acting on a
+    combination of triple-basis terms, through trees: the tree values of
+    both, the tree action, the block basis, the triangular solve and the
+    orientation of brackets. The normalizer's products never leave triple
+    coordinates, so this is their independent oracle."""
+    values = words.map_terms(lambda w: word_lincomb([t_value(l) for l in w]))
+    block = to_shat(word_act_trees(values, t_value_lin(target)))
+    return block.map_terms(solve_to_t).map_terms(_orient)
+
+
+# -- orders -------------------------------------------------------------------
+
+def is_total_order(cmp, elems):
+    """Spot check: antisymmetry and totality on a finite element list."""
+    for a in elems:
+        if cmp(a, a) != 0:
+            return False
+        for b in elems:
+            if a is not b and cmp(a, b) != -cmp(b, a):
+                return False
+            if a is not b and cmp(a, b) == 0:
+                return False
+    return True
+
+
+def iota(t):
+    """Injection of the triple basis into the ternary magma over non-triple
+    elements."""
+    if t.kind == TRIPLE and not t.sym:
+        return hall.node3(iota(t.y), iota(t.z), iota(t.w))
+    return hall.leaf(t)
+
+
+def is_lts_hall_t(t):
+    """The Hall predicate on a triple-basis element via the injection."""
+    return hall.is_lts_hall(iota(t), cmp_t)

@@ -19,6 +19,8 @@ from plyalg.tensor import tree_brk
 from plyalg.terms import (SYMGRAFT, TRIPLE, Alphabet, LinComb, brk, graft, ograft,
                           osbb_word, symgraft, triple)
 
+import lemmas
+
 A1 = Alphabet.of_size(1)
 A2 = Alphabet.of_size(2)
 A3 = Alphabet.of_size(3)
@@ -178,32 +180,13 @@ def test_shat_to_t_roundtrip():
             assert shat_to_t(to_shat(t_value_lin(x))) == x
 
 
-_SOLVED = {}
-
-
-def _solve_to_t(s):
-    """The triangular solve for every block-basis element, memoized: phi(s)
-    re-expanded in block coordinates is s plus strictly smaller terms, whose
-    coordinates are solved first."""
-    out = _SOLVED.get(s)
-    if out is None:
-        t = phi(s)
-        delta = to_shat(t_value(t)) - LinComb.of(s)
-        out = LinComb.of(t)
-        for u, c in delta.items():
-            assert cmp_shat(u, s) < 0
-            out.add_in(_solve_to_t(u), -c)
-        _SOLVED[s] = out
-    return out
-
-
 def test_shat_elem_to_t_matches_triangular_solve():
     # brackets and symmetric grafts convert by structure, block words by
     # the solve; all must agree with the solve on every element
     for alphabet, top in ((A1, 6), (A2, 5), (A3, 4)):
         for n in range(1, top + 1):
             for s in enumerate_Shat(n, alphabet):
-                assert shat_elem_to_t(s) == _solve_to_t(s), s
+                assert shat_elem_to_t(s) == lemmas.solve_to_t(s), s
 
 
 @pytest.mark.parametrize("t", [graft((a,), a), symgraft((a,), a),
@@ -250,8 +233,6 @@ def test_any_basis_maps_reject_foreign_subterm(t):
 
 
 # -- structural lemmas over the block basis -------------------------------------
-
-import lemmas
 
 
 def test_lemma_product_structure():

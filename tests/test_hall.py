@@ -8,8 +8,10 @@ from fractions import Fraction
 from plyalg.hall import (Node3, foliage, hall_cmp, is_hall, is_lts_hall, leaf,
                          lts_hall_rewrite, node2, node3)
 from plyalg.linalg import rank
-from plyalg.orders import cmp_gen, is_total_order
+from plyalg.orders import cmp_gen
 from plyalg.terms import Alphabet, LinComb
+
+from lemmas import is_total_order
 
 A2 = Alphabet.of_size(2)
 A3 = Alphabet.of_size(3)

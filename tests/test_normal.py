@@ -15,7 +15,7 @@ from plyalg.cli import main
 from plyalg.exprs import render_lincomb
 from plyalg.normal import (FuelExhausted, RewriteStep, RewriteTrace, check_trace,
                            enumerate_B, enumerate_B_lat, graded_dim, head_rewrite,
-                           is_B, is_lts_hall_t, lat_project, normalize)
+                           is_B, lat_project, normalize)
 from plyalg.orders import cmp_gen, cmp_shat
 from plyalg.osbb import decompose
 from plyalg.suites import RELATION_ARITY, relation_residual, sample_basis_tuples
@@ -24,7 +24,8 @@ from plyalg.terms import (BRK, TRIPLE, Alphabet, LinComb, brk, graft, has_bracke
                           subterms, symgraft, triple)
 
 from fixtures import scan_normalize, seeded_pick
-from lemmas import assert_exact_coefficients, ply2_act_ref, ply3_act_ref, subst_ref
+from lemmas import (assert_exact_coefficients, is_lts_hall_t, ply2_act_ref, ply3_act_ref,
+                    subst_ref, tree_route)
 
 A1 = Alphabet.of_size(1)
 A2 = Alphabet.of_size(2)
@@ -398,16 +399,52 @@ def test_conversion_cache_agrees():
 
 
 def test_t_mul_matches_round_trip():
-    # products through the conversion cache equal the round trip through
-    # trees: OSBB decomposition, triangular solve, then orientation; every
-    # pair of triple-basis terms whose product has at most 5 vertices over
-    # one generator, at most 4 over two
-    for alphabet, grade in ((A1, 5), (A2, 4)):
+    # products in triple coordinates equal the route through trees (tree
+    # values, tree product, block basis, triangular solve, orientation) on
+    # every pair of triple-basis terms whose product has at most 7
+    # vertices over one generator, at most 5 over two; triples with a
+    # symmetric part are among both factors
+    symmetric = set()
+    for alphabet, grade in ((A1, 7), (A2, 5)):
         pool = [t for n in range(1, grade) for t in enumerate_T(n, alphabet)]
         pairs = [(x, y) for x, y in itertools.product(pool, repeat=2) if x.vc + y.vc <= grade]
         for x, y in pairs:
-            want = shat_to_t(to_shat(tree_mul(t_value(x), t_value(y)))).map_terms(normal._orient)
-            assert normal.t_mul(x, y) == want, (x, y)
+            symmetric.update(i for i, t in enumerate((x, y)) if t.kind == TRIPLE and t.sym)
+            assert normal.t_mul(x, y) == tree_route(LinComb.of((x,)), LinComb.of(y)), (x, y)
+    assert symmetric == {0, 1}
+
+
+def _tuples(pool, k, budget):
+    """Every k-tuple of terms of ``pool`` with at most ``budget`` vertices
+    in all."""
+    if k == 0:
+        yield ()
+        return
+    for t in pool:
+        if t.vc <= budget - (k - 1):
+            for rest in _tuples(pool, k - 1, budget - t.vc):
+                yield (t,) + rest
+
+
+def test_t_word_action_matches_tree_route():
+    # the word actions of PLY3, (s · [[y,z]]) ▷ w, and of PLY6,
+    # (a·b·[[c,v]] − b·a·[[c,v]]) ▷ w, equal the route through trees on
+    # every choice of letters and target from T with at most 7 vertices in
+    # all over one generator; over two, at most 5 (PLY3) and 6 (PLY6)
+    shapes = (
+        (lambda s, y, z: LinComb.of((s, brk(y, z))), ((A1, 7), (A2, 5))),
+        (lambda a, b, c, v: LinComb.from_pairs([((a, b, brk(c, v)), 1),
+                                                ((b, a, brk(c, v)), -1)]),
+         ((A1, 7), (A2, 6))),
+    )
+    for shape, grades in shapes:
+        arity = shape.__code__.co_argcount
+        for alphabet, grade in grades:
+            pool = [t for n in range(1, grade) for t in enumerate_T(n, alphabet)]
+            for *letters, w in _tuples(pool, arity + 1, grade):
+                words, target = shape(*letters), LinComb.of(w)
+                assert normal.t_word_action(words, target) == tree_route(words, target), \
+                    (letters, w)
 
 
 def test_subst_and_act_match_reference():

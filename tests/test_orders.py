@@ -5,13 +5,14 @@ import random
 
 from fixtures import (B5_COMPUTED_POSITIONS, B_LISTING, S5_COMPUTED_POSITIONS,
                       S_LISTING, SHAT_LISTING)
+from lemmas import is_total_order
 
 from plyalg.bases import (cmp_hall_t, cmp_t, enumerate_S, enumerate_Shat,
                           enumerate_T, from_shat, phi, t_value)
 from plyalg.exprs import parse_algebra
 from plyalg.hall import hall_cmp, leaf, node2
 from plyalg.normal import enumerate_B
-from plyalg.orders import cmp_delta, cmp_shat, is_total_order
+from plyalg.orders import cmp_delta, cmp_shat
 from plyalg.terms import Alphabet, brk, ograft, osbb_word
 
 A = Alphabet.of_size(2)

@@ -175,7 +175,7 @@ def test_derive_sums_distinct_words(A2):
             for i, y in enumerate(w):
                 for t, c in graft_product(x, y).items():
                     want.add_in(LinComb.of(w[:i] + (t,) + w[i + 1:]), c)
-            assert _derive(x, w) == want
+            assert _derive(x, w, graft_product) == want
 
 
 def test_graft_words_is_the_action_on_roots(A2):
