@@ -4,22 +4,22 @@ Four bases appear: the planar-tree basis (Graft nodes), the symmetric-block
 basis (OGraft nodes, OSBB words over itself), the triple basis (SymGraft and
 Triple nodes, image of the block basis under the automorphism ``phi``), and
 for the one-operator algebra the bracket-free restriction of the block
-basis. Conversions are exact. ``shat_to_t`` converts a bracket and a
-symmetric graft by structure, from their children's triple coordinates; a
-graft of a word with bracket blocks by the triangularity of ``phi`` (the
-value of phi(s) re-expanded in block coordinates is s plus strictly smaller
-terms).
+basis. Conversions are exact. ``shat_to_t`` converts every node by
+structure, from its children's triple coordinates: a graft is its word's
+action on its root, by the Guin–Oudom word action in triple coordinates
+that the normalizer's products (``normal.t_mul``) also use.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from . import osbb
 from .orders import cmp_ints, cmp_shat, shat_key, sort_by
 from .terms import (BRK, GEN, GRAFT, OGRAFT, SYMGRAFT, TRIPLE, BasisError, LinComb,
                     block, brk, canon_key, graft, memo, multilinear, ograft,
                     osbb_word, symgraft, triple)
-from .tensor import (graft_words, orderings, symmetrize, tree_brk,
-                     triple_bracket, word_act_trees, word_lincomb)
+from .tensor import (graft_words, orderings, symmetrize, tensor_mul, tree_brk,
+                     tri_words, triple_bracket, word_act_trees, word_lincomb)
 
 
 # -- tree basis <-> symmetric-block basis -------------------------------------
@@ -167,6 +167,166 @@ def cmp_hall_t(x, y):
     return cmp_ints(hall_t_key(x), hall_t_key(y))
 
 
+# -- words acting in triple coordinates ------------------------------------------
+#
+# A triple-basis term is a word of the free algebra acting on a root:
+# sg(S; r) = s(S) ▷ r and [y,z,w] = (yz − zy) ▷ w, s(S) the symmetrized word.
+# Words act on words and on terms by the Guin–Oudom identities (deshuffle
+# coproduct u(1) ⊗ u(2)): u ▷ (v ▷ t) = (u(1)·(u(2) ▷ v)) ▷ t, and
+# u ▷ (v·v') = (u(1) ▷ v)·(u(2) ▷ v'). A word acting on a root is written in
+# OSBB words over its triple-basis letters, each of which phi sends to one
+# term up to strictly shorter words. Everything here is in free triple
+# coordinates, brackets as built; ``shat_elem_to_t`` and ``normal.t_mul`` use it.
+
+_SPLITS = {}
+
+
+@memo(_SPLITS)
+def _splits(u):
+    """The deshuffle coproduct of the word ``u``: (u(1), u(2)) for every set
+    of positions, u(1) the letters at them and u(2) the others."""
+    n = len(u)
+    return tuple((tuple(u[i] for i in range(n) if m >> i & 1),
+                  tuple(u[i] for i in range(n) if not m >> i & 1))
+                 for m in range(1 << n))
+
+
+_WORD_ON_WORD = {}
+
+
+@memo(_WORD_ON_WORD)
+def _word_on_word(u, v):
+    """The word ``u`` acting on the word ``v``, letters multiplied by the
+    product here."""
+    return tri_words(u, v, lambda x, y: _word_act((x,), y))
+
+
+def _gl(us, vs):
+    """Σ U(1)·(U(2) ▷ V) over the splits of the words of ``us``: the words
+    whose action is U ▷ (V ▷ ·). The splits with U(2) empty sum to U·V."""
+    out = LinComb()
+    for u, cu in us.items():
+        for u1, u2 in _splits(u):
+            for v, cv in vs.items():
+                for w, cw in (_word_on_word(u2, v) if u2 else {v: 1}).items():
+                    out.add_in({u1 + w: cw}, cu * cv)
+    return out
+
+
+def _sym_words(sym):
+    """s(sym), the symmetrized word of ``sym``."""
+    return symmetrize(LinComb.of(sym))
+
+
+def _lie(y, z):
+    """The words yz − zy."""
+    return LinComb.from_pairs((((y, z), 1), ((z, y), -1)))
+
+
+_TRIPLE_WORDS = {}
+
+
+@memo(_TRIPLE_WORDS)
+def _triple_words(sym, y, z):
+    """The words V with s(sym) ▷ [y,z,w] = V ▷ w: s(sym)(1)·(s(sym)(2) ▷
+    (yz − zy))."""
+    return _gl(_sym_words(sym), _lie(y, z))
+
+
+_SYM_ACT = {}
+
+
+@memo(_SYM_ACT)
+def _sym_act(u, sym):
+    """u ▷ s(sym), symmetric again: the sum over the splits of ``u`` of
+    (u(1) ▷ sym[0]) times u(2) ▷ s(sym[1:]), as sorted multisets."""
+    if not sym:
+        return LinComb() if u else LinComb.of(())
+    out = LinComb()
+    for u1, u2 in _splits(u):
+        first = _word_act(u1, sym[0]) if u1 else LinComb.of(sym[0])
+        for rest, c in _sym_act(u2, sym[1:]).items():
+            for t, ct in first.items():
+                out.add_in({tuple(sorted((t,) + rest, key=canon_key)): ct}, c)
+    return out
+
+
+def _on_root(words, r):
+    """A combination of nonempty words acting on a generator or bracket
+    root ``r``. A word of one repeated letter is its symmetric graft; a word
+    xy of two letters is s(x,y) + (xy − yx)/2, its OSBB decomposition in
+    closed form, which spares the commonest component its factorization;
+    the others go through their OSBB decomposition."""
+    out, mixed = LinComb(), LinComb()
+    for w, c in words.items():
+        if w.count(w[0]) == len(w):
+            out.add_in(LinComb.of(symgraft(w, r)), c)
+        elif len(w) == 2:
+            y, z = w if cmp_t(w[0], w[1]) > 0 else (w[1], w[0])
+            out.add_in(LinComb.of(symgraft(w, r)), c)
+            out.add_in(LinComb.of(triple((), y, z, r)), c * Fraction(1 if y is w[0] else -1, 2))
+        else:
+            mixed[w] = c
+    if mixed:
+        for ow, c in osbb.decompose(mixed, cmp_t).items():
+            out.add_in(_osbb_act(ow, r), c)
+    return out
+
+
+_OSBB_ACT = {}
+
+
+@memo(_OSBB_ACT)
+def _osbb_act(ow, r):
+    """An OSBB word acting on a root. A symmetric word is a symmetric graft;
+    b0·rest, b0 = s(S0)·(yz − zy), is triple(S0, y, z, X) over X = rest ▷ r,
+    minus (s(S0)(1)·(s(S0)(2) ▷ (yz − zy))) ▷ X and (b0(1)·(b0(2) ▷ rest)) ▷ r
+    over the splits with s(S0)(2), b0(2) nonempty: strictly shorter words."""
+    if ow.is_symmetric:
+        return LinComb.of(symgraft(ow.tail, r))
+    b0 = ow.blocks[0]
+    rest = osbb_word(ow.blocks[1:], ow.tail)
+    xs = _osbb_act(rest, r) if rest.length else LinComb.of(r)
+    out = xs.map_terms(lambda x: LinComb.of(triple(b0.sym, b0.y, b0.z, x)))
+    lead = tensor_mul(_sym_words(b0.sym), _lie(b0.y, b0.z))
+    shorter = _triple_words(b0.sym, b0.y, b0.z) - lead
+    out -= xs.map_terms(lambda x: _words_on(shorter, x))
+    if rest.length:
+        rest_words = osbb.expand(rest)
+        out -= _on_root(_gl(lead, rest_words) - tensor_mul(lead, rest_words), r)
+    return out
+
+
+def _words_on(words, t):
+    """A combination of nonempty words acting on a triple-basis term."""
+    if t.kind == GEN or t.kind == BRK:
+        return _on_root(words, t)
+    return words.map_terms(lambda u: _word_act(u, t))
+
+
+_WORD_ACT = {}
+
+
+@memo(_WORD_ACT)
+def _word_act(u, t):
+    """The nonempty word ``u`` acting on the triple-basis term ``t``, by the
+    kind of ``t``: on a root, its OSBB decomposition; on sg(S; r),
+    (u(1)·(u(2) ▷ s(S))) ▷ r, whose splits with u(1) empty are symmetric
+    grafts; on a triple V ▷ w, (u(1)·(u(2) ▷ V)) ▷ w."""
+    if t.kind == GEN or t.kind == BRK:
+        return _on_root(LinComb.of(u), t)
+    if t.kind == TRIPLE:
+        return _words_on(_gl(LinComb.of(u), _triple_words(t.sym, t.y, t.z)), t.w)
+    out, words = LinComb(), LinComb()
+    for u1, u2 in _splits(u):
+        for sym, c in _sym_act(u2, t.sym).items():
+            if u1:
+                words.add_in(tensor_mul(LinComb.of(u1), _sym_words(sym)), c)
+            else:
+                out.add_in(LinComb.of(symgraft(sym, t.root)), c)
+    return out.add_in(_on_root(words, t.root))
+
+
 # -- evaluation and coordinate changes ----------------------------------------
 
 _T_VALUE = {}
@@ -199,34 +359,25 @@ _S2T = {}
 def shat_elem_to_t(s):
     """Triple-basis coordinates of a block-basis element.
 
-    A bracket and a symmetric graft convert by structure, from the
-    coordinates of their children:
+    Every node converts by structure, from its children's coordinates:
 
+    - a generator is itself;
     - ``brk(x, y)`` maps to the bracket of the images of x and y, since the
       bracket is bilinear in both bases;
-    - ``ograft(s(S), r)`` maps to the multilinear ``symgraft`` of the
-      images of S's letters on the image of r, which is all generators and
-      brackets. Grafting a word onto such a root is the word's action on it
-      (``tensor.graft_words``), and ``symmetrize`` is multilinear.
-
-    A graft of a word with bracket blocks keeps the triangular solve: a
-    triple's slot conditions do not survive substitution."""
+    - ``ograft(w, r)`` is the action of the words ``expand(w)`` on the root
+      r (``tensor.graft_words``), so it maps to those words, each letter
+      replaced by its image, acting on the image of r, which is all
+      generators and brackets (``_on_root``). Both are multilinear, and a
+      symmetric word is no special case."""
     if s.kind == GEN:
         return LinComb.of(s)
     if s.kind == BRK:
         return tree_brk(shat_elem_to_t(s.x), shat_elem_to_t(s.y))
-    if s.kind == OGRAFT and s.word.is_symmetric:
-        return multilinear(lambda r, *ls: LinComb.of(symgraft(ls, r)),
-                           shat_elem_to_t(s.root), *map(shat_elem_to_t, s.word.tail))
-    t = phi(s)
-    delta = to_shat(t_value(t)) - LinComb.of(s)
-    for u in delta:
-        if cmp_shat(u, s) >= 0:
-            raise BasisError("triangularity violated: %r appears in phi(%r)" % (u, s))
-    out = LinComb.of(t)
-    for u, c in delta.items():
-        out.add_in(shat_elem_to_t(u), -c)
-    return out
+    if s.kind != OGRAFT:
+        raise BasisError("shat_elem_to_t expects a block-basis term, got %r" % s)
+    words = osbb.expand(s.word).map_terms(
+        lambda w: word_lincomb([shat_elem_to_t(l) for l in w]))
+    return shat_elem_to_t(s.root).map_terms(lambda r: _on_root(words, r))
 
 
 def shat_to_t(x):
@@ -236,8 +387,10 @@ def shat_to_t(x):
 def any_to_t(x):
     """Triple-basis coordinates of a combination given in any basis, node by
     node. The bracket is bilinear in every basis, so it may join two; any
-    other node must be of its subterms' basis, else ``BasisError``. The
-    rewrite reaches it through ``normal._to_t``, which caches it per term."""
+    other node must be of its subterms' basis, else ``BasisError``. A block
+    graft converts by ``shat_elem_to_t``, a tree graft through its block
+    coordinates (``to_shat_term``). The rewrite reaches it through
+    ``normal._to_t``, which caches it per term."""
     if not isinstance(x, LinComb):
         x = LinComb.of(x)
 

@@ -21,9 +21,10 @@ expander, and its image is the expander applied to the bindings' values.
 The symmetric expansions of PLY2 and PLY3 share one letter action, ``_act``,
 and are memoized per (sym, head) through ``terms.memo``, like every other
 cache here. A derivation is a sum of ``subst`` over a node's children.
-Products (``t_mul``, ``t_word_action``) are computed in triple coordinates,
-a term being a word acting on a root, by the Guin–Oudom identities; only
-the input enters through a change of basis (``_to_t``).
+Products (``t_mul``, ``t_word_action``) and the input's change of basis
+(``_to_t``) are one word action in triple coordinates, a term being a word
+acting on a root, by the Guin–Oudom identities; it lives in ``bases``, so
+this module is the rewriting alone.
 
 Brackets are born oriented: ``_brk`` builds [[u,v]] as PLY1's image, the
 rules build their brackets through it, and a rewrite starts from its input
@@ -50,12 +51,9 @@ from heapq import heapify, heappop, heappush
 from fractions import Fraction
 from dataclasses import dataclass
 
-from .bases import any_to_t, cmp_hall_t, cmp_t, enumerate_T, t_key
-from .osbb import decompose, expand
-from .tensor import symmetrize, tensor_mul, tri_words
+from .bases import _word_act, any_to_t, cmp_hall_t, cmp_t, enumerate_T, t_key
 from .terms import (BRK, GEN, SYMGRAFT, TRIPLE, LinComb, brk, canon_key,
-                    has_bracket, memo, multilinear, osbb_word, subterms, symgraft,
-                    triple)
+                    has_bracket, memo, multilinear, subterms, symgraft, triple)
 
 DEFAULT_FUEL = 10 ** 6
 
@@ -160,164 +158,6 @@ def _to_t(t):
 
 
 # -- products in triple coordinates ------------------------------------------------
-#
-# A triple-basis term is a word of the free algebra acting on a root:
-# sg(S; r) = s(S) ▷ r and [y,z,w] = (yz − zy) ▷ w, s(S) the symmetrized word.
-# Words act on words and on terms by the Guin–Oudom identities (deshuffle
-# coproduct u(1) ⊗ u(2)): u ▷ (v ▷ t) = (u(1)·(u(2) ▷ v)) ▷ t, and
-# u ▷ (v·v') = (u(1) ▷ v)·(u(2) ▷ v'). A word acting on a root is written in
-# OSBB words over its triple-basis letters, each of which phi sends to one
-# term up to strictly shorter words. Everything here is in free triple
-# coordinates, brackets as built; ``t_mul`` and ``t_word_action`` orient once.
-
-_SPLITS = {}
-
-
-@memo(_SPLITS)
-def _splits(u):
-    """The deshuffle coproduct of the word ``u``: (u(1), u(2)) for every set
-    of positions, u(1) the letters at them and u(2) the others."""
-    n = len(u)
-    return tuple((tuple(u[i] for i in range(n) if m >> i & 1),
-                  tuple(u[i] for i in range(n) if not m >> i & 1))
-                 for m in range(1 << n))
-
-
-_WORD_ON_WORD = {}
-
-
-@memo(_WORD_ON_WORD)
-def _word_on_word(u, v):
-    """The word ``u`` acting on the word ``v``, letters multiplied by the
-    product here."""
-    return tri_words(u, v, lambda x, y: _word_act((x,), y))
-
-
-def _gl(us, vs):
-    """Σ U(1)·(U(2) ▷ V) over the splits of the words of ``us``: the words
-    whose action is U ▷ (V ▷ ·). The splits with U(2) empty sum to U·V."""
-    out = LinComb()
-    for u, cu in us.items():
-        for u1, u2 in _splits(u):
-            for v, cv in vs.items():
-                for w, cw in (_word_on_word(u2, v) if u2 else {v: 1}).items():
-                    out.add_in({u1 + w: cw}, cu * cv)
-    return out
-
-
-def _sym_words(sym):
-    """s(sym), the symmetrized word of ``sym``."""
-    return symmetrize(LinComb.of(sym))
-
-
-def _lie(y, z):
-    """The words yz − zy."""
-    return LinComb.from_pairs((((y, z), 1), ((z, y), -1)))
-
-
-_TRIPLE_WORDS = {}
-
-
-@memo(_TRIPLE_WORDS)
-def _triple_words(sym, y, z):
-    """The words V with s(sym) ▷ [y,z,w] = V ▷ w: s(sym)(1)·(s(sym)(2) ▷
-    (yz − zy))."""
-    return _gl(_sym_words(sym), _lie(y, z))
-
-
-_SYM_ACT = {}
-
-
-@memo(_SYM_ACT)
-def _sym_act(u, sym):
-    """u ▷ s(sym), symmetric again: the sum over the splits of ``u`` of
-    (u(1) ▷ sym[0]) times u(2) ▷ s(sym[1:]), as sorted multisets."""
-    if not sym:
-        return LinComb() if u else LinComb.of(())
-    out = LinComb()
-    for u1, u2 in _splits(u):
-        first = _word_act(u1, sym[0]) if u1 else _of(sym[0])
-        for rest, c in _sym_act(u2, sym[1:]).items():
-            for t, ct in first.items():
-                out.add_in({tuple(sorted((t,) + rest, key=canon_key)): ct}, c)
-    return out
-
-
-def _on_root(words, r):
-    """A combination of nonempty words acting on a generator or bracket
-    root ``r``. A word of one repeated letter is its symmetric graft; a word
-    xy of two letters is s(x,y) + (xy − yx)/2, its OSBB decomposition in
-    closed form, which spares the commonest component its factorization;
-    the others go through their OSBB decomposition."""
-    out, mixed = LinComb(), LinComb()
-    for w, c in words.items():
-        if w.count(w[0]) == len(w):
-            out.add_in(_of(symgraft(w, r)), c)
-        elif len(w) == 2:
-            y, z = w if cmp_t(w[0], w[1]) > 0 else (w[1], w[0])
-            out.add_in(_of(symgraft(w, r)), c)
-            out.add_in(_of(triple((), y, z, r)), c * Fraction(1 if y is w[0] else -1, 2))
-        else:
-            mixed[w] = c
-    if mixed:
-        for ow, c in decompose(mixed, cmp_t).items():
-            out.add_in(_osbb_act(ow, r), c)
-    return out
-
-
-_OSBB_ACT = {}
-
-
-@memo(_OSBB_ACT)
-def _osbb_act(ow, r):
-    """An OSBB word acting on a root. A symmetric word is a symmetric graft;
-    b0·rest, b0 = s(S0)·(yz − zy), is triple(S0, y, z, X) over X = rest ▷ r,
-    minus (s(S0)(1)·(s(S0)(2) ▷ (yz − zy))) ▷ X and (b0(1)·(b0(2) ▷ rest)) ▷ r
-    over the splits with s(S0)(2), b0(2) nonempty: strictly shorter words."""
-    if ow.is_symmetric:
-        return _of(symgraft(ow.tail, r))
-    b0 = ow.blocks[0]
-    rest = osbb_word(ow.blocks[1:], ow.tail)
-    xs = _osbb_act(rest, r) if rest.length else _of(r)
-    out = xs.map_terms(lambda x: _of(triple(b0.sym, b0.y, b0.z, x)))
-    lead = tensor_mul(_sym_words(b0.sym), _lie(b0.y, b0.z))
-    shorter = _triple_words(b0.sym, b0.y, b0.z) - lead
-    out -= xs.map_terms(lambda x: _words_on(shorter, x))
-    if rest.length:
-        rest_words = expand(rest)
-        out -= _on_root(_gl(lead, rest_words) - tensor_mul(lead, rest_words), r)
-    return out
-
-
-def _words_on(words, t):
-    """A combination of nonempty words acting on a triple-basis term."""
-    if t.kind == GEN or t.kind == BRK:
-        return _on_root(words, t)
-    return words.map_terms(lambda u: _word_act(u, t))
-
-
-_WORD_ACT = {}
-
-
-@memo(_WORD_ACT)
-def _word_act(u, t):
-    """The nonempty word ``u`` acting on the triple-basis term ``t``, by the
-    kind of ``t``: on a root, its OSBB decomposition; on sg(S; r),
-    (u(1)·(u(2) ▷ s(S))) ▷ r, whose splits with u(1) empty are symmetric
-    grafts; on a triple V ▷ w, (u(1)·(u(2) ▷ V)) ▷ w."""
-    if t.kind == GEN or t.kind == BRK:
-        return _on_root(LinComb.of(u), t)
-    if t.kind == TRIPLE:
-        return _words_on(_gl(LinComb.of(u), _triple_words(t.sym, t.y, t.z)), t.w)
-    out, words = LinComb(), LinComb()
-    for u1, u2 in _splits(u):
-        for sym, c in _sym_act(u2, t.sym).items():
-            if u1:
-                words.add_in(tensor_mul(LinComb.of(u1), _sym_words(sym)), c)
-            else:
-                out.add_in(_of(symgraft(sym, t.root)), c)
-    return out.add_in(_on_root(words, t.root))
-
 
 _TMUL = {}
 
@@ -326,7 +166,7 @@ _TMUL = {}
 def t_mul(x, y):
     """Free triangle product of two triple-basis terms, in triple coordinates
     with brackets oriented: the one-letter word (x) acting on y, computed
-    in triple coordinates (``_word_act``), never through trees."""
+    in triple coordinates (``bases._word_act``), never through trees."""
     return _word_act((x,), y).map_terms(_orient)
 
 

@@ -16,8 +16,8 @@ from plyalg.bases import (BasisError, alpha_count, any_to_bhat, any_to_t, beta_c
                           shat_to_t, t_value, t_value_lin, to_shat)
 from plyalg.orders import cmp_shat
 from plyalg.tensor import tree_brk
-from plyalg.terms import (SYMGRAFT, TRIPLE, Alphabet, LinComb, brk, graft, ograft,
-                          osbb_word, symgraft, triple)
+from plyalg.terms import (SYMGRAFT, TRIPLE, Alphabet, LinComb, block, brk, graft,
+                          ograft, osbb_word, symgraft, triple)
 
 import lemmas
 
@@ -63,7 +63,6 @@ def test_to_shat_fixes_block_shapes():
 
 def test_to_shat_splits_unordered_word():
     # branches (x, y) with x > y: s(x·y) plus half the bracket block
-    from plyalg.terms import block
     x, y = graft((a,), a), a
     sx = ograft(osbb_word((), (a,)), a)
     t = graft((x, y), a)
@@ -81,7 +80,6 @@ def test_phi_fixes_generators():
 
 def test_phi_on_bracket_block():
     # the block [g2, a] grafted on a maps to the bare triple-bracket
-    from plyalg.terms import block
     sx = ograft(osbb_word((), (a,)), a)
     s = ograft(osbb_word((block((), sx, a),), ()), a)
     t = phi(s)
@@ -181,9 +179,10 @@ def test_shat_to_t_roundtrip():
 
 
 def test_shat_elem_to_t_matches_triangular_solve():
-    # brackets and symmetric grafts convert by structure, block words by
-    # the solve; all must agree with the solve on every element
-    for alphabet, top in ((A1, 6), (A2, 5), (A3, 4)):
+    # every node converts by structure, a graft as its word's action on its
+    # root; the triangular solve is only the oracle, and all must agree
+    # with it on every element
+    for alphabet, top in ((A1, 7), (A2, 5), (A3, 4)):
         for n in range(1, top + 1):
             for s in enumerate_Shat(n, alphabet):
                 assert shat_elem_to_t(s) == lemmas.solve_to_t(s), s
@@ -221,8 +220,12 @@ _x, _y = A2.gens
                                symgraft((graft((_x,), _y),), _x),
                                ograft(osbb_word((), (graft((_x,), _y),)), _x),
                                triple((), ograft(osbb_word((), (graft((_x,), _y),)), _x),
-                                      _x, _x)],
-                         ids=["triple", "graft", "symgraft", "ograft", "triple-ograft"])
+                                      _x, _x),
+                               ograft(osbb_word((block((), graft((_x,), _y), _x),), ()), _x),
+                               ograft(osbb_word((block((graft((_x,), _y),), _y, _x),), ()),
+                                      _x)],
+                         ids=["triple", "graft", "symgraft", "ograft", "triple-ograft",
+                              "block-bracket", "block-sym"])
 def test_any_basis_maps_reject_foreign_subterm(t):
     # the term renders, its letters that no basis order sorts as stored, so
     # the BasisError that names it or a subterm renders too

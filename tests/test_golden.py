@@ -100,7 +100,7 @@ def test_osbb_decomposition_digest(capsys, word, gens, digest):
         "grade-6-sym-block", "grade-6-mixed", "grade-6-four-branches", "grade-6-bracket-root"])
 def test_phi_inv_digest(capsys, expr, digest):
     # block-basis coordinates of phi^-1 of the triple coordinates: every
-    # route of shat_to_t (bracket, symmetric graft, block-word solve)
+    # node kind shat_to_t converts (bracket, symmetric graft, block word)
     code = main(["phi-inv", expr, "--gens", "a,b"])
     out = capsys.readouterr().out
     assert code == 0
